@@ -13,7 +13,13 @@ weights, the accumulated portal sum collapses to
 
     correction = R * W * (I + CW + (CW)^2 + ...) * D   (mod x^(K+1)),
 
-three small matrix products around one truncated power sum.  The literal
+three small matrix products around one truncated power sum.  The fold is
+local: R is nonzero only on the rows of G that reach an affected row and
+D only on the columns an affected column reaches (the K-hop balls around
+the batch), so the product is formed over those support rows and
+columns alone and added into them.  The new G and B replace only the
+rows they touch and share every other row list with the parent
+snapshot; nothing may mutate G.rows or B.rows in place.  The literal
 portal construction is kept alongside as a reference route for the tests.
 
 Exact mode keeps G coefficient-identical to a from-scratch recomputation;
@@ -103,7 +109,9 @@ class DynState:
 
     Treated as immutable: every update operation returns a fresh state and
     never touches its input, so older snapshots stay valid (the muddled
-    scheduler leans on this).
+    scheduler leans on this).  Successive snapshots share the row lists
+    of G and B that an update did not touch, so no one may mutate
+    G.rows or B.rows in place; build a new matrix instead.
     """
 
     n: int
@@ -303,22 +311,25 @@ def _cascade_power_sum(m: PolyMatrix, k: int) -> PolyMatrix:
     return total.truncated(k)
 
 
-def _materialize_blocks(g: PolyMatrix, gadget: DeltaGadget):
-    rows_r = [[g.rows[s][u] for u in gadget.u_in] for s in range(g.nrows)]
-    rows_c = [[g.rows[v][u] for u in gadget.u_in] for v in gadget.u_out]
-    rows_d = [list(g.rows[v]) for v in gadget.u_out]
-    return PolyMatrix(rows_r), PolyMatrix(rows_c), PolyMatrix(rows_d)
-
-
 def _updated_embedding(b: PolyMatrix, deltas) -> PolyMatrix:
-    rows = [list(r) for r in b.rows]
+    zero = UniPoly.zero()
+    touched = {}
     for r, c, delta in deltas:
-        rows[r][c] = rows[r][c] + UniPoly.constant(delta)
-    return PolyMatrix(rows)
+        row = touched.setdefault(r, list(b.rows[r]))
+        row[c] = row[c] + UniPoly.constant(delta) or zero
+    return b.with_rows(touched)
 
 
 def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     """Fold one gadget's correction into G and its deltas into B.
+
+    The correction R*P*D is nonzero only on the support rows S (those
+    whose G-row reaches some u_in) and support columns T (those some
+    u_out reaches), so R is built over S, D over T, and the |S| x |T|
+    product is added into those entries alone; every other entry gets a
+    zero correction, so the result is exact.  Rows of G outside S and
+    rows of B without a delta are shared with the input state, never
+    copied.
 
     The version token must match: gadgets encode which G their entries
     are meant to be read from, and applying against anything else would
@@ -332,7 +343,13 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     if gadget.is_empty():
         return replace(state, version=state.version + 1)
     k = state.K
-    r_blk, c_blk, d_blk = _materialize_blocks(state.G, gadget)
+    g = state.G.rows
+    u_in, u_out = gadget.u_in, gadget.u_out
+    support_rows = [s for s, row in enumerate(g) if any(row[u] for u in u_in)]
+    support_cols = sorted({t for v in u_out for t, e in enumerate(g[v]) if e})
+    r_blk = PolyMatrix([[g[s][u] for u in u_in] for s in support_rows])
+    c_blk = PolyMatrix([[g[v][u] for u in u_in] for v in u_out])
+    d_blk = PolyMatrix([[g[v][t] for t in support_cols] for v in u_out])
     w0 = PolyMatrix.from_rational(gadget.weights)
     core_arg = c_blk.mul(w0, trunc=k)
     if gadget.size > state.cascade_threshold:
@@ -342,7 +359,17 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     wx = w0.scale_poly(UniPoly.x(), trunc=k)
     p_blk = wx.mul(core, trunc=k)
     correction = r_blk.mul(p_blk, trunc=k).mul(d_blk, trunc=k)
-    new_g = state.G.add(correction)
+    # an entry the correction cancels goes back to the shared zero, so the
+    # count of live zero objects in G does not grow as the graph churns
+    zero = UniPoly.zero()
+    touched = {}
+    for s, crow in zip(support_rows, correction.rows):
+        row = list(g[s])
+        for t, c in zip(support_cols, crow):
+            if c:
+                row[t] = row[t] + c or zero
+        touched[s] = row
+    new_g = state.G.with_rows(touched)
     new_b = _updated_embedding(state.B, gadget.deltas)
     return replace(state, G=new_g, B=new_b, version=state.version + 1)
 

@@ -130,7 +130,7 @@ def lazy_transition(g: DynGraph) -> RatMatrix:
         degs[v] += 1
     for v in range(n):
         rows[v][v] = 1 - Rat(degs[v], 2 * d)
-    return RatMatrix(rows)
+    return RatMatrix.from_rat_rows(rows)
 
 
 def validate_and_apply(g: DynGraph, batch: EdgeBatch):

@@ -49,6 +49,22 @@ class RatMatrix:
             raise ValueError("ragged matrix")
 
     @staticmethod
+    def from_rat_rows(rows) -> "RatMatrix":
+        """A matrix over ``rows`` as given, without coercing each entry.
+
+        Every entry must already be a Rat; the row lists are kept, not
+        copied, so the caller must not reuse them.
+        """
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged matrix")
+        if not all(type(v) is Rat for r in rows for v in r):
+            raise TypeError("entries must be Rat")
+        out = RatMatrix.__new__(RatMatrix)
+        out.rows, out.nrows, out.ncols = rows, len(rows), ncols
+        return out
+
+    @staticmethod
     def identity(n: int) -> "RatMatrix":
         return RatMatrix([[R1 if i == j else R0 for j in range(n)] for i in range(n)])
 
@@ -169,9 +185,32 @@ class PolyMatrix:
 
     @staticmethod
     def from_rational(m: RatMatrix) -> "PolyMatrix":
+        """Constant polynomials; zero entries share the zero polynomial."""
+        zero = UniPoly.zero()
         return PolyMatrix(
-            [[UniPoly.constant(v) for v in row] for row in m.rows]
+            [[UniPoly.constant(v) if v else zero for v in row] for row in m.rows]
         )
+
+    def with_rows(self, replacements) -> "PolyMatrix":
+        """A copy with the rows in ``replacements`` (index -> list) swapped in.
+
+        Every other row list is shared with this matrix, not copied, so
+        neither matrix may have its rows mutated in place afterwards.
+        Only the replaced rows are checked (width and UniPoly entries);
+        the shared ones were checked when this matrix was built.
+        """
+        rows = list(self.rows)
+        for i, row in replacements.items():
+            if not 0 <= i < self.nrows:
+                raise ValueError(f"row {i} out of range")
+            if len(row) != self.ncols:
+                raise ValueError("ragged matrix")
+            if not all(isinstance(e, UniPoly) for e in row):
+                raise TypeError("row entries must be UniPoly")
+            rows[i] = row
+        out = PolyMatrix.__new__(PolyMatrix)
+        out.rows, out.nrows, out.ncols = rows, self.nrows, self.ncols
+        return out
 
     @property
     def is_square(self) -> bool:

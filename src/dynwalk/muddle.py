@@ -24,7 +24,12 @@ from .numerics import PrecisionBudget, truncate_to_bits
 from .poly import UniPoly
 from .linalg import PolyMatrix
 from .graph import DynGraph, EdgeBatch
-from .dyncore import DynState, apply_batch, state_from_graph
+from .dyncore import (
+    DEFAULT_CASCADE_THRESHOLD,
+    DynState,
+    apply_batch,
+    state_from_graph,
+)
 
 __all__ = ["MuddleConfig", "MuddleJob", "TraceRow", "AccountingRow", "MuddleTimeline"]
 
@@ -36,7 +41,7 @@ class MuddleConfig:
     K: int
     L: int
     bits: int
-    cascade_threshold: int = 12
+    cascade_threshold: int = DEFAULT_CASCADE_THRESHOLD
 
     def __post_init__(self):
         if self.L < 0:
@@ -78,9 +83,6 @@ class MuddleJob:
 
     def age(self, clock: int) -> int:
         return clock - self.spawn_time
-
-    def phase(self, clock: int, compute_ticks: int) -> str:
-        return "computing" if self.age(clock) <= compute_ticks else "catching_up"
 
 
 @dataclass(frozen=True)

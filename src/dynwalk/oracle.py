@@ -97,8 +97,11 @@ def _power_sum_constant(mat: PolyMatrix, k: int) -> PolyMatrix:
                             if b:
                                 orow[t] += a * b
             cur = nxt
+    # entries no walk of length <= k reaches share the zero polynomial, so
+    # a stored power sum holds no per-entry zero objects
+    zero = UniPoly.zero()
     return PolyMatrix(
-        [[UniPoly(coeff_lists[s][t]) for t in range(n)] for s in range(n)]
+        [[p if p else zero for p in map(UniPoly, row)] for row in coeff_lists]
     )
 
 

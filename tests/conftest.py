@@ -135,11 +135,11 @@ def random_graph(rng, n, d, fill=0.6):
     return DynGraph(n, d, frozenset(adj))
 
 
-def random_batch(rng, graph, max_ops):
+def random_batch(rng, graph, max_ops, min_ops=1):
     """Valid batch against `graph`: ops checked against a working copy."""
     work = graph.copy()
     ops = []
-    for _ in range(rng.randint(1, max_ops)):
+    for _ in range(rng.randint(min_ops, max_ops)):
         for _ in range(60):
             u, v = rng.sample(range(graph.n), 2)
             a, b = min(u, v), max(u, v)

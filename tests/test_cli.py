@@ -1,7 +1,12 @@
 """Script harness: transcripts, error paths, selftest, entry point."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import dynwalk
 from dynwalk.cli import main, run_script, run_selftest
 
 
@@ -235,6 +240,32 @@ def test_selftest_green():
     assert out[-1].startswith("selftest: ") and "suites passed" in out[-1]
     for line in out[:-1]:
         assert line.startswith("suite ") and ": pass (" in line
+
+
+# Under -O a bare assert is compiled away; the selftest must still catch an
+# apply_gadget that folds nothing (it only bumps the version).
+_BROKEN_FOLD_SELFTEST = """
+import sys
+from dataclasses import replace
+from dynwalk import cli, dyncore
+dyncore.apply_gadget = lambda state, gadget: replace(state, version=state.version + 1)
+sys.exit(cli.main(["selftest"]))
+"""
+
+
+def test_selftest_fails_under_optimize_when_the_fold_is_broken():
+    env = dict(os.environ)
+    src = str(Path(dynwalk.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_FOLD_SELFTEST],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert "suite incremental vs oracle: FAIL" in proc.stdout.splitlines()
+    assert proc.returncode != 0
 
 
 def test_main_runs_script_file(tmp_path, capsys):

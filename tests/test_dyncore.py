@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from dynwalk.numerics import BudgetExhausted, Rat, pow2, rat
 from dynwalk.poly import UniPoly
@@ -377,3 +378,122 @@ def test_bits_budget_eventually_refuses():
     st2 = apply_batch(st, EdgeBatch(()))
     assert st2.step_count == 3
     assert st2.budget.bits_spent == 2
+
+
+# -- snapshots share untouched rows ----------------------------------------------------------
+
+
+def test_update_shares_untouched_rows_and_leaves_the_old_snapshot_valid():
+    # two components: the path 0-1-...-7 and the path 8-9-10-11
+    n, k = 12, 4
+    path = {(i, i + 1) for i in range(7)} | {(8, 9), (9, 10), (10, 11)}
+    old = state_from_graph(DynGraph(n, 2, frozenset(path)), k)
+    g_before = [list(r) for r in old.G.rows]
+    b_before = [list(r) for r in old.B.rows]
+    new = apply_batch(old, batch(("delete", 1, 2), ("insert", 0, 2)))
+    assert new.G == fresh_oracle(new)
+    assert [list(r) for r in old.G.rows] == g_before
+    assert [list(r) for r in old.B.rows] == b_before
+    assert old.G == fresh_oracle(old)
+    # the batch touches vertices 0, 1, 2; walks of length <= K in the
+    # embedding cover K/2 = 2 graph hops, so vertices 5..11 are outside
+    # the ball in both copies and their rows must be shared, not copied
+    for v in range(5, n):
+        for s in (v, n + v):
+            assert new.G.rows[s] is old.G.rows[s]
+            assert new.B.rows[s] is old.B.rows[s]
+    # rows the batch touched are new lists; the old ones stay as they were
+    for v in (0, 1, 2):
+        assert new.G.rows[v] != g_before[v]
+        assert new.G.rows[v] is not old.G.rows[v]
+        assert new.B.rows[v] is not old.B.rows[v]
+
+
+def test_zero_entries_share_one_object_as_the_graph_churns():
+    # deletions cancel entries of G and B; each must go back to the shared
+    # zero polynomial rather than leave a fresh zero object behind
+    n, k = 12, 4
+    path = {(i, i + 1) for i in range(n - 1)}
+    st = state_from_graph(DynGraph(n, 2, frozenset(path)), k)
+    zero = UniPoly.zero()
+    for ops in (
+        (("delete", 3, 4),),
+        (("delete", 7, 8),),
+        (("insert", 3, 4), ("delete", 0, 1)),
+    ):
+        st = apply_batch(st, batch(*ops))
+        assert st.G == fresh_oracle(st)
+        for m in (st.G, st.B):
+            assert all(e is zero for row in m.rows for e in row if not e)
+
+
+# -- property tests against the oracles --------------------------------------------------
+
+
+def _assert_matches_oracles(state):
+    """G against the oracle power sum and walk DP, both from the graph."""
+    n, k = state.n, state.K
+    a = lazy_transition(state.graph)
+    b = bipartite_embed(PolyMatrix.from_rational(a))
+    assert state.B == b
+    assert state.G == exact_power_sum(b, k)
+    for s in range(n):
+        for t in range(n):
+            dp = walk_count_dp(a, s, t, k // 2 + 1)
+            for j in range(k // 2 + 1):
+                assert state.G.rows[s][t][2 * j] == dp[j]
+                if 2 * j + 1 <= k:
+                    assert state.G.rows[s][n + t][2 * j + 1] == dp[j + 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    hst.integers(2, 8),
+    hst.integers(1, 3),
+    hst.integers(1, 6),
+    hst.randoms(use_true_random=False),
+)
+def test_property_small_batches_match_oracles(n, d, k, rng):
+    st = state_from_graph(random_graph(rng, n, d, fill=rng.random()), k)
+    for _ in range(3):
+        st = apply_batch(st, random_batch(rng, st.graph, 3))
+        _assert_matches_oracles(st)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    hst.integers(4, 8),
+    hst.integers(2, 3),
+    hst.integers(1, 6),
+    hst.randoms(use_true_random=False),
+)
+def test_property_cascade_route_matches_oracles(n, d, k, rng):
+    st = state_from_graph(random_graph(rng, n, d, fill=rng.random()), k, cascade_threshold=0)
+    for _ in range(2):
+        st = apply_batch(st, random_batch(rng, st.graph, 5, min_ops=4))
+        _assert_matches_oracles(st)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    hst.integers(2, 8),
+    hst.integers(1, 3),
+    hst.integers(1, 6),
+    hst.integers(24, 64),
+    hst.randoms(use_true_random=False),
+)
+def test_property_bits_mode_within_certified_bound(n, d, k, bits, rng):
+    g = random_graph(rng, n, d, fill=rng.random())
+    exact = state_from_graph(g, k)
+    dirty = state_from_graph(g, k, mode="bits", bits=bits)
+    for _ in range(4):
+        b = random_batch(rng, exact.graph, 3)
+        exact = apply_batch(exact, b)
+        dirty = apply_batch(dirty, b)
+        spent = dirty.budget.bits_spent
+        bound = pow2(-(bits - spent - 2))
+        for row_e, row_d in zip(exact.G.rows, dirty.G.rows):
+            for e, dd in zip(row_e, row_d):
+                for j in range(k + 1):
+                    assert abs(e[j] - dd[j]) <= bound
+    _assert_matches_oracles(exact)
