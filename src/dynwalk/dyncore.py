@@ -22,9 +22,12 @@ rows they touch and share every other row list with the parent
 snapshot; nothing may mutate G.rows or B.rows in place.  The literal
 portal construction is kept alongside as a reference route for the tests.
 
-Exact mode keeps G coefficient-identical to a from-scratch recomputation;
-bits mode truncates every coefficient to b bits once per batch and charges
-the precision budget one bit for it.
+Exact mode keeps G coefficient-identical to a from-scratch recomputation.
+Bits mode charges the precision budget one bit per batch and keeps G on
+the 2^-b grid: the first batch of a fresh bits state rounds every
+coefficient to b bits, and each later batch rounds only the entries its
+gadgets changed, since every other entry is on the grid already
+(truncate_rows).
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ __all__ = [
     "apply_batch",
     "read_power_entry",
     "portal_correction",
+    "truncate_rows",
 ]
 
 # Gadgets with more affected indices than this route their core power sum
@@ -421,12 +425,49 @@ def portal_correction(
     return total.truncated(k)
 
 
+def truncate_rows(
+    m: PolyMatrix,
+    bits: int,
+    source: PolyMatrix | None = None,
+    truncated: PolyMatrix | None = None,
+) -> PolyMatrix:
+    """m with every coefficient rounded to b bits, reusing work done before.
+
+    truncated must be source with every coefficient rounded to b bits;
+    it defaults to source itself, for a source already on the 2^-b grid.
+    A row of m that is the very list object of the same row of source is
+    taken from truncated as it is, with no work, and so is an entry that
+    is the very object of the same entry of source.  Snapshots share
+    exactly the rows an update left alone, and a replaced row keeps the
+    entry objects the update did not change, so after a local update only
+    the entries it changed are rounded.  Without a source every entry is
+    rounded.
+    """
+
+    def rounded(e):
+        return UniPoly([truncate_to_bits(c, bits) for c in e.coeffs])
+
+    if source is None:
+        return PolyMatrix([[rounded(e) for e in row] for row in m.rows])
+    done = source if truncated is None else truncated
+    fresh = {
+        i: [d if e is o else rounded(e) for e, o, d in zip(row, old, done.rows[i])]
+        for i, (row, old) in enumerate(zip(m.rows, source.rows))
+        if row is not old
+    }
+    return done.with_rows(fresh)
+
+
 def apply_entry_deltas(state: DynState, entry_deltas) -> DynState:
     """Run one batch of raw B entry deltas through both gadgets.
 
     Deletions land first: negative deltas, then positive, per the two-step
-    correction order.  In bits mode the result is truncated to b bits once
-    (a single truncation per batch) and the budget is charged one bit.
+    correction order.  In bits mode the budget is charged one bit and the
+    result is put back on the 2^-b grid.  A state that has spent a bit
+    already holds a G on that grid (it came from a truncating batch or a
+    muddled delivery), and rounding is idempotent there, so only the
+    entries the gadgets changed are rounded; a fresh bits state, whose G
+    is still exact, has every coefficient rounded.
     """
     minus, plus = build_delta_gadgets(state, entry_deltas)
     st = apply_gadget(state, minus)
@@ -434,16 +475,10 @@ def apply_entry_deltas(state: DynState, entry_deltas) -> DynState:
     if state.is_bits:
         st.budget = state.budget.copy()
         st.budget.spend(1)
-        b = state.bits
-        st.G = PolyMatrix(
-            [
-                [
-                    UniPoly([truncate_to_bits(c, b) for c in e.coeffs])
-                    for e in row
-                ]
-                for row in st.G.rows
-            ]
-        )
+        if state.budget.bits_spent:
+            st.G = truncate_rows(st.G, state.bits, state.G)
+        else:
+            st.G = truncate_rows(st.G, state.bits)
     return st
 
 

@@ -15,7 +15,6 @@ be rejected, and anything in between may go either way.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .numerics import Rat
@@ -67,18 +66,59 @@ class TesterConfig:
 
     @staticmethod
     def default_ell(n: int, alpha) -> int:
-        """ceil(ln n / (8 Phi^2)), floored at one."""
+        """ceil(ln n / (8 Phi^2)), floored at one, computed exactly.
+
+        That is the least ell >= 1 with e^(8 Phi^2 ell) >= n, found by
+        bisection with every comparison decided by _exp_at_least.  Since
+        ln n < 0.7 bit_length(n), ell = ceil(0.7 bit_length(n) / (8 Phi^2))
+        always suffices and bounds the search.
+        """
         phi = 1 - Rat(alpha)
         if n < 1:
             raise ValueError("need at least one vertex")
-        raw = math.log(n) / (8 * float(phi) ** 2)
-        return max(1, math.ceil(raw))
+        rate = 8 * phi * phi
+        enough = Rat(7 * n.bit_length(), 10) / rate
+        lo, hi = 1, max(1, -(-enough.numerator // enough.denominator))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _exp_at_least(rate * mid, n):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     @staticmethod
     def for_graph(n: int, alpha, d: int, ell: int | None = None) -> "TesterConfig":
         if ell is None:
             ell = TesterConfig.default_ell(n, alpha)
         return TesterConfig(Rat(alpha), d, ell)
+
+
+def _exp_at_least(r, n: int) -> bool:
+    """Whether e^r >= n, for rational r = p/q > 0 and integer n >= 1, exactly.
+
+    The Taylor partial sum S_m = sum of r^i/i! for i <= m bounds e^r from
+    below.  Once m + 2 > r the tail is at most t_(m+1) (m+2)/(m+2-r),
+    where t_i = r^i/i!, since each later term is at most r/(m+2) times
+    the one before; S_m plus that bounds e^r from above.  Terms are added
+    until one bound decides.  Both tests run on integers: s = S_m D_m
+    over the common denominator D_m = q^m m!, and pw = p^m.  For rational
+    r != 0, e^r is irrational (Lindemann), so it never equals n and the
+    loop ends.
+    """
+    p, q = int(r.numerator), int(r.denominator)
+    m, pw, den, s = 1, p, q, q + p
+    while True:
+        if s >= n * den:
+            return True
+        # S_m + t_(m+1) (m+2) / (m+2-r) < n, times D_m (m+1) ((m+2) q - p)
+        slack = (m + 2) * q - p
+        if slack > 0 and (s - n * den) * (m + 1) * slack + pw * p * (m + 2) < 0:
+            return False
+        m += 1
+        pw *= p
+        den *= q * m
+        s = s * q * m + pw
 
 
 @dataclass(frozen=True)

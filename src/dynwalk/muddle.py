@@ -1,15 +1,21 @@
 """Pipelined recomputation: fresh answers from a slow exact rebuild.
 
 The served state runs in bits mode and loses one budget bit per batch.
-To stop the decay, a recomputation job spawns every step: it snapshots
-the current graph, spends floor(L/2) ticks on its from-scratch rebuild
-(computed eagerly here, embargoed to model the latency), then catches up
-the batches that arrived meanwhile at two per tick.  Arrivals come one
-per tick, so the backlog shrinks by one net batch per tick, empties by
-age L, and the job delivers at age L exactly.  At delivery its state,
-which has replayed every batch exactly, is truncated once to b bits and
-installed as the served state with a fresh budget.  At most L jobs are
-in flight at any time.
+To stop the decay, a recomputation job spawns every step against the
+current graph, spends floor(L/2) ticks on its from-scratch rebuild, then
+catches up the batches that arrived meanwhile at two per tick.  Arrivals
+come one per tick, so the backlog shrinks by one net batch per tick,
+empties by age L, and the job delivers at age L exactly.  At most
+max(L, 1) jobs are in flight at any time.
+
+A job delivers only once it has replayed every batch since its spawn, so
+what it delivers is always the exact state of the current graph.  One
+exact shadow state, which takes each batch once as it arrives, therefore
+stands in for every job: a job is kept as its spawn clock and backlog
+length, which is all the latency model and the accounting read, and a
+delivery installs the shadow truncated once to b bits with a fresh
+budget.  On a delivery tick the served state skips the batch, since the
+delivery replaces it in the same tick.
 
 Steady state has one delivery per step, so the served budget age stays
 pinned near one after warmup; the warmup peak is L + ceil(L/2) + 1 spent
@@ -18,17 +24,17 @@ bits, which is the freshness bound the tests assert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .numerics import PrecisionBudget, truncate_to_bits
-from .poly import UniPoly
-from .linalg import PolyMatrix
+# truncate_to_bits is unused here but stays bound: the layer tracer in
+# bench/layers.py wraps muddle.truncate_to_bits by name
+from .numerics import PrecisionBudget, truncate_to_bits  # noqa: F401
 from .graph import DynGraph, EdgeBatch
 from .dyncore import (
     DEFAULT_CASCADE_THRESHOLD,
-    DynState,
     apply_batch,
     state_from_graph,
+    truncate_rows,
 )
 
 __all__ = ["MuddleConfig", "MuddleJob", "TraceRow", "AccountingRow", "MuddleTimeline"]
@@ -69,17 +75,16 @@ def _half_up(x: int) -> int:
 
 @dataclass
 class MuddleJob:
-    """One in-flight recomputation.
+    """One in-flight recomputation, as counters.
 
-    state is exact mode: the rebuild and every catch-up batch are exact,
-    so the single truncation at delivery is the only precision loss the
-    delivered answer ever takes.
+    backlog is the number of batches that arrived since the spawn and
+    that the job has not yet caught up on.  The job's state itself is
+    never built: when the backlog is empty it would equal the timeline's
+    exact shadow, which is what a delivery installs.
     """
 
     spawn_time: int
-    snapshot: DynGraph
-    state: DynState
-    backlog: list = field(default_factory=list)
+    backlog: int = 0
 
     def age(self, clock: int) -> int:
         return clock - self.spawn_time
@@ -116,96 +121,85 @@ class MuddleTimeline:
         if graph.n != config.n or graph.d != config.d:
             raise ValueError("graph shape disagrees with the configuration")
         self.clock = 0
-        self.served = state_from_graph(
-            graph,
-            config.K,
+        self.shadow = state_from_graph(
+            graph, config.K, cascade_threshold=config.cascade_threshold
+        )
+        self.served = replace(
+            self.shadow,
             mode="bits",
             bits=config.bits,
-            cascade_threshold=config.cascade_threshold,
+            budget=PrecisionBudget(config.bits),
         )
-        self.jobs: list = []
+        # (shadow G, its truncation) at the latest delivery, so the next
+        # delivery rounds only the entries the shadow has changed since
+        self._delivered = None
+        self.jobs: list = [MuddleJob(0)]
         self.trace: list = []
         self.rows: list = []
-        self._spawn()
 
     # -- internals -----------------------------------------------------
 
-    def _spawn(self):
-        graph = self.served.graph.copy()
-        job_state = state_from_graph(
-            graph,
-            self.config.K,
-            mode="exact",
-            cascade_threshold=self.config.cascade_threshold,
-        )
-        self.jobs.append(MuddleJob(self.clock, graph, job_state))
-
-    def _deliver(self, job: MuddleJob):
+    def _deliver(self, shadow):
         b = self.config.bits
         budget = PrecisionBudget(b)
         budget.spend(1)
-        truncated = PolyMatrix(
-            [
-                [
-                    UniPoly([truncate_to_bits(c, b) for c in e.coeffs])
-                    for e in row
-                ]
-                for row in job.state.G.rows
-            ]
-        )
-        self.served = replace(
-            job.state,
-            mode="bits",
-            bits=b,
-            G=truncated,
-            budget=budget,
-        )
+        g = truncate_rows(shadow.G, b, *(self._delivered or ()))
+        return replace(shadow, mode="bits", bits=b, G=g, budget=budget)
 
     # -- the public surface ---------------------------------------------
 
     def step(self, batch: EdgeBatch) -> "MuddleTimeline":
-        """Advance one tick: serve, catch up, maybe deliver, spawn.
+        """Advance one tick: shadow, catch up, deliver or serve, spawn.
 
-        The order is fixed: the served state eats the batch first (one
-        budget bit), active jobs advance and consume up to two backlog
-        batches each, the oldest finished job delivers, and a new job
-        spawns against the now-current graph.  A rejected batch raises
-        before the timeline is touched at all.
+        The shadow takes the batch first, which also validates it.  Every
+        job's backlog then grows by the batch (if it is not empty), jobs
+        past their compute ticks catch up on up to two backlog batches
+        each, and the oldest job with an empty backlog at age L or more
+        delivers.  Without a delivery the served state takes the batch
+        (one budget bit).  Finally a new job spawns against the now-current
+        graph.  A rejected batch raises before the timeline is touched.
         """
-        new_served = apply_batch(self.served, batch)
-        self.clock += 1
-        self.served = new_served
-        if len(batch) > 0:
-            for job in self.jobs:
-                job.backlog.append(batch)
+        cfg = self.config
+        shadow = apply_batch(self.shadow, batch)
+        clock = self.clock + 1
+        arrived = 1 if len(batch) > 0 else 0
+        backlogs = []
         caught_up = 0
         for job in self.jobs:
-            if job.age(self.clock) > self.config.compute_ticks:
-                for _ in range(2):
-                    if not job.backlog:
-                        break
-                    pending = job.backlog.pop(0)
-                    job.state = apply_batch(job.state, pending)
-                    caught_up += 1
-        delivered = 0
-        for job in self.jobs:
-            if (
-                job.age(self.clock) >= self.config.L
-                and job.age(self.clock) >= self.config.compute_ticks
-                and not job.backlog
-            ):
-                self._deliver(job)
-                self.jobs.remove(job)
-                delivered = 1
-                break
-        self._spawn()
+            backlog = job.backlog + arrived
+            if job.age(clock) > cfg.compute_ticks:
+                eaten = min(2, backlog)
+                backlog -= eaten
+                caught_up += eaten
+            backlogs.append(backlog)
+        done = next(
+            (
+                i
+                for i, (job, backlog) in enumerate(zip(self.jobs, backlogs))
+                if backlog == 0 and job.age(clock) >= cfg.L
+            ),
+            None,
+        )
+        if done is None:
+            self.served = apply_batch(self.served, batch)
+        else:
+            self.served = self._deliver(shadow)
+            self._delivered = (shadow.G, self.served.G)
+        self.shadow = shadow
+        self.clock = clock
+        for job, backlog in zip(self.jobs, backlogs):
+            job.backlog = backlog
+        if done is not None:
+            del self.jobs[done]
+        self.jobs.append(MuddleJob(clock))
+        delivered = int(done is not None)
         age = self.served.budget.bits_spent
-        self.trace.append(TraceRow(self.clock, len(self.jobs), age, delivered))
+        self.trace.append(TraceRow(clock, len(self.jobs), age, delivered))
         self.rows.append(
             AccountingRow(
-                clock=self.clock,
+                clock=clock,
                 active_jobs=len(self.jobs),
-                backlog_depths=tuple(len(j.backlog) for j in self.jobs),
+                backlog_depths=tuple(j.backlog for j in self.jobs),
                 budget_remaining=self.served.budget.remaining,
                 caught_up=caught_up,
                 delivered=delivered,

@@ -5,10 +5,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from dynwalk.numerics import BudgetExhausted, Rat, pow2, rat
+from dynwalk.numerics import BudgetExhausted, Rat, pow2, rat, truncate_to_bits
 from dynwalk.poly import UniPoly
 from dynwalk.linalg import PolyMatrix, RatMatrix
-from dynwalk.graph import BatchRejected, DynGraph, EdgeBatch, EdgeOp, lazy_transition
+from dynwalk.graph import (
+    BatchRejected,
+    DynGraph,
+    EdgeBatch,
+    EdgeOp,
+    lazy_transition,
+    validate_and_apply,
+)
 from dynwalk.oracle import exact_power_sum, walk_count_dp
 from dynwalk.dyncore import (
     DeltaGadget,
@@ -474,6 +481,22 @@ def test_property_cascade_route_matches_oracles(n, d, k, rng):
         _assert_matches_oracles(st)
 
 
+def _bits_fold_reference(state, batch):
+    """G after one bits-mode batch by definition: both gadgets, then every coefficient truncated."""
+    if len(batch) == 0:
+        return state.G
+    n = state.n
+    _, tdeltas = validate_and_apply(state.graph, batch)
+    minus, plus = build_delta_gadgets(state, [(r, n + c, dl) for r, c, dl in tdeltas])
+    st = apply_gadget(apply_gadget(state, minus), plus)
+    return PolyMatrix(
+        [
+            [UniPoly([truncate_to_bits(c, state.bits) for c in e.coeffs]) for e in row]
+            for row in st.G.rows
+        ]
+    )
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     hst.integers(2, 8),
@@ -489,7 +512,9 @@ def test_property_bits_mode_within_certified_bound(n, d, k, bits, rng):
     for _ in range(4):
         b = random_batch(rng, exact.graph, 3)
         exact = apply_batch(exact, b)
+        want = _bits_fold_reference(dirty, b)
         dirty = apply_batch(dirty, b)
+        assert dirty.G == want
         spent = dirty.budget.bits_spent
         bound = pow2(-(bits - spent - 2))
         for row_e, row_d in zip(exact.G.rows, dirty.G.rows):

@@ -1,6 +1,8 @@
 """Expansion tester: thresholds, verdicts, precision refusals."""
 
+import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -59,6 +61,19 @@ def test_default_walk_length():
         TesterConfig.default_ell(0, rat(1, 2))
     cfg = TesterConfig.for_graph(16, rat(1, 2), 3)
     assert cfg.ell == 2
+
+
+def test_default_walk_length_matches_high_precision_logarithm():
+    # ln n / (8 phi^2) is never an integer for n >= 2, and at 60 digits
+    # none of these come close enough to one for the ceiling to flip
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for alpha in (rat(1, 2), rat(3, 4), rat(1, 10), rat(9, 10), rat(99, 100)):
+            phi = 1 - alpha
+            rate = 8 * (Decimal(int(phi.numerator)) / Decimal(int(phi.denominator))) ** 2
+            for n in range(1, 4097):
+                want = max(1, math.ceil(Decimal(n).ln() / rate))
+                assert TesterConfig.default_ell(n, alpha) == want, (n, alpha)
 
 
 def test_verdict_rejection_needs_witness():

@@ -1,13 +1,18 @@
 """Pipelined recomputation: freshness, liveness, population bounds."""
 
-import pytest
+from dataclasses import replace
 
-from dynwalk.numerics import truncate_to_bits
+import pytest
+from hypothesis import given, settings, strategies as hst
+
+from dynwalk.numerics import BudgetExhausted, PrecisionBudget, truncate_to_bits
 from dynwalk.poly import UniPoly
 from dynwalk.linalg import PolyMatrix
 from dynwalk.graph import BatchRejected, DynGraph, EdgeBatch, EdgeOp
-from dynwalk.dyncore import state_from_graph
-from dynwalk.muddle import MuddleConfig, MuddleTimeline
+from dynwalk.dyncore import apply_batch, state_from_graph
+from dynwalk.muddle import AccountingRow, MuddleConfig, MuddleTimeline, TraceRow
+
+from conftest import random_batch, random_graph
 
 
 def toggle(u, v, present):
@@ -15,14 +20,98 @@ def toggle(u, v, present):
     return EdgeBatch((EdgeOp(kind, u, v),))
 
 
-def truncated_twin(graph, k, bits):
-    exact = state_from_graph(graph, k)
+def truncate_all(m, bits):
     return PolyMatrix(
-        [
-            [UniPoly([truncate_to_bits(c, bits) for c in e.coeffs]) for e in row]
-            for row in exact.G.rows
-        ]
+        [[UniPoly([truncate_to_bits(c, bits) for c in e.coeffs]) for e in row] for row in m.rows]
     )
+
+
+def truncated_twin(graph, k, bits):
+    return truncate_all(state_from_graph(graph, k).G, bits)
+
+
+class ReplayTimeline:
+    """The latency model taken literally: one exact state per job.
+
+    Each job rebuilds from scratch at its spawn, replays its backlog at two
+    batches per tick once its compute ticks are over, and delivers its own
+    state truncated to b bits.  The served state takes every batch as an
+    exact fold followed by truncation of every coefficient.  Nothing here
+    shares work between jobs, so it checks that the shadow scheduler's
+    counters and single exact state reproduce the model.
+    """
+
+    def __init__(self, cfg, graph):
+        self.cfg = cfg
+        self.clock = 0
+        self.served = state_from_graph(graph, cfg.K, mode="bits", bits=cfg.bits)
+        self.jobs = []
+        self.trace = []
+        self.rows = []
+        self._spawn()
+
+    def _spawn(self):
+        state = state_from_graph(self.served.graph, self.cfg.K)
+        self.jobs.append({"spawn": self.clock, "state": state, "backlog": []})
+
+    def _serve(self, batch):
+        st = self.served
+        if len(batch) == 0:
+            return replace(st, step_count=st.step_count + 1)
+        as_exact = replace(st, mode="exact", bits=None, budget=None)
+        folded = apply_batch(as_exact, batch)
+        if not st.budget.can_spend(1):
+            raise BudgetExhausted("served budget exhausted")
+        budget = st.budget.copy()
+        budget.spend(1)
+        g = truncate_all(folded.G, st.bits)
+        return replace(folded, mode="bits", bits=st.bits, G=g, budget=budget)
+
+    def step(self, batch):
+        cfg = self.cfg
+        self.served = self._serve(batch)
+        self.clock += 1
+        if len(batch) > 0:
+            for job in self.jobs:
+                job["backlog"].append(batch)
+        caught_up = 0
+        for job in self.jobs:
+            if self.clock - job["spawn"] > cfg.compute_ticks:
+                for _ in range(2):
+                    if job["backlog"]:
+                        job["state"] = apply_batch(job["state"], job["backlog"].pop(0))
+                        caught_up += 1
+        delivered = 0
+        for job in self.jobs:
+            if self.clock - job["spawn"] >= cfg.L and not job["backlog"]:
+                budget = PrecisionBudget(cfg.bits)
+                budget.spend(1)
+                self.served = replace(
+                    job["state"],
+                    mode="bits",
+                    bits=cfg.bits,
+                    G=truncate_all(job["state"].G, cfg.bits),
+                    budget=budget,
+                )
+                self.jobs.remove(job)
+                delivered = 1
+                break
+        self._spawn()
+        age = self.served.budget.bits_spent
+        self.trace.append(TraceRow(self.clock, len(self.jobs), age, delivered))
+        self.rows.append(
+            AccountingRow(
+                clock=self.clock,
+                active_jobs=len(self.jobs),
+                backlog_depths=tuple(len(j["backlog"]) for j in self.jobs),
+                budget_remaining=self.served.budget.remaining,
+                caught_up=caught_up,
+                delivered=delivered,
+            )
+        )
+
+    def trace_lines(self):
+        return [r.line() for r in self.trace]
 
 
 def drive(timeline, steps):
@@ -131,6 +220,29 @@ def test_rejected_batch_leaves_timeline_untouched():
     assert tl.clock == 0
     assert tl.trace == []
     assert len(tl.jobs) == 1
+    # after warmup, on a tick where the oldest job would deliver
+    drive(tl, 5)
+    assert all(r.delivered for r in tl.trace[cfg.L - 1:])
+    clock, trace, rows = tl.clock, list(tl.trace), list(tl.rows)
+    counters = [(j.spawn_time, j.backlog) for j in tl.jobs]
+    served, shadow = tl.served, tl.shadow
+    served_g = [list(r) for r in served.G.rows]
+    shadow_g = [list(r) for r in shadow.G.rows]
+    # (0, 1) is present after five toggles; the first op is valid, the
+    # second deletes an absent edge
+    with pytest.raises(BatchRejected):
+        tl.step(EdgeBatch((EdgeOp("insert", 1, 3), EdgeOp("delete", 2, 3))))
+    assert tl.clock == clock
+    assert tl.trace == trace
+    assert tl.rows == rows
+    assert [(j.spawn_time, j.backlog) for j in tl.jobs] == counters
+    assert tl.served is served and tl.shadow is shadow
+    assert [list(r) for r in served.G.rows] == served_g
+    assert [list(r) for r in shadow.G.rows] == shadow_g
+    # the same tick with a valid batch delivers
+    tl.step(EdgeBatch((EdgeOp("insert", 1, 3),)))
+    assert tl.trace[-1].delivered == 1
+    assert tl.served.G == truncated_twin(tl.served.graph, cfg.K, cfg.bits)
 
 
 def test_trace_line_format():
@@ -148,3 +260,48 @@ def test_idle_steps_age_jobs_without_spending():
         assert tl.trace[-1].served_budget_age <= 1
     assert tl.served.G == baseline
     assert sum(r.delivered for r in tl.trace) >= 4
+
+
+# -- the shadow scheduler against a literal per-job replay ----------------------
+
+
+def _next_batch(rng, graph):
+    """A random batch: mostly valid, sometimes empty, sometimes rejected."""
+    roll = rng.random()
+    if roll < 0.15:
+        return EdgeBatch(())
+    if roll < 0.3:
+        u, v = rng.sample(range(graph.n), 2)
+        kind = "insert" if graph.has_edge(u, v) else "delete"
+        return EdgeBatch(random_batch(rng, graph, 2, min_ops=0).ops + (EdgeOp(kind, u, v),))
+    return random_batch(rng, graph, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hst.integers(0, 5),
+    hst.integers(2, 6),
+    hst.integers(1, 3),
+    hst.integers(1, 4),
+    hst.randoms(use_true_random=False),
+)
+def test_property_shadow_matches_per_job_replay(latency, n, d, k, rng):
+    cfg = MuddleConfig(n, d, k, latency, 32)
+    graph = random_graph(rng, n, d, fill=rng.random())
+    tl = MuddleTimeline(cfg, graph)
+    ref = ReplayTimeline(cfg, graph)
+    assert tl.served.G == ref.served.G
+    for _ in range(latency + 6):
+        batch = _next_batch(rng, tl.served.graph)
+        try:
+            ref.step(batch)
+        except BatchRejected:
+            with pytest.raises(BatchRejected):
+                tl.step(batch)
+        else:
+            tl.step(batch)
+        assert tl.trace_lines() == ref.trace_lines()
+        assert tl.accounting() == ref.rows
+        assert tl.served.G == ref.served.G
+        assert tl.served.graph == ref.served.graph
+        assert tl.served.budget.bits_spent == ref.served.budget.bits_spent
