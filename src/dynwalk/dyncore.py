@@ -32,13 +32,12 @@ gadgets changed, since every other entry is on the grid already
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .numerics import (
     BudgetExhausted,
     PrecisionBudget,
     R0,
-    R1,
     Rat,
     truncate_to_bits,
 )
@@ -272,49 +271,6 @@ def build_delta_gadgets(state: DynState, entry_deltas) -> tuple:
     return minus, plus
 
 
-def _cascade_power_sum(m: PolyMatrix, k: int) -> PolyMatrix:
-    """power_sum through the characteristic-polynomial route, pre-scaled.
-
-    The cascade's magnitude preconditions are stated for matrices whose
-    evaluations stay below 1/(3 dim); gadget cores carry walk sums and do
-    not satisfy them natively.  Dividing by a power of two c with
-    |entry|(x) <= sum of |coefficients| <= c/(3 dim) for all x in [0, 1]
-    makes every evaluation admissible, and the substitution M = c M'
-    turns each term (xM)^i into (c^i x^i) M'^i, so the sum is reassembled
-    exactly from the scaled powers.
-    """
-    q = m.nrows
-    if q == 0 or k == 0 or m.is_zero():
-        return PolyMatrix.identity(q)
-    bound = R0
-    min_low = None
-    for row in m.rows:
-        for e in row:
-            if e:
-                s = sum((abs(c) for c in e.coeffs), R0)
-                if s > bound:
-                    bound = s
-                low = e.low_degree()
-                if min_low is None or low < min_low:
-                    min_low = low
-    if min_low is None:
-        return PolyMatrix.identity(q)
-    target = Rat(1, 3 * q)
-    exp = 0
-    while bound > target * (1 << exp):
-        exp += 1
-    c = 1 << exp
-    scaled = PolyMatrix([[e.scale(Rat(1, c)) for e in row] for row in m.rows])
-    total = PolyMatrix.identity(q)
-    i = 1
-    while i * (1 + min_low) <= k:
-        mi = matpow.power_large(scaled, i)
-        term = mi.scale_poly(UniPoly.monomial(Rat(c) ** i, i), trunc=k)
-        total = total.add(term)
-        i += 1
-    return total.truncated(k)
-
-
 def _updated_embedding(b: PolyMatrix, deltas) -> PolyMatrix:
     zero = UniPoly.zero()
     touched = {}
@@ -356,10 +312,11 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     d_blk = PolyMatrix([[g[v][t] for t in support_cols] for v in u_out])
     w0 = PolyMatrix.from_rational(gadget.weights)
     core_arg = c_blk.mul(w0, trunc=k)
-    if gadget.size > state.cascade_threshold:
-        core = _cascade_power_sum(core_arg, k)
-    else:
-        core = matpow.power_sum(core_arg, k, method="direct")
+    core = matpow.power_sum(
+        core_arg,
+        k,
+        method="charpoly" if gadget.size > state.cascade_threshold else "direct",
+    )
     wx = w0.scale_poly(UniPoly.x(), trunc=k)
     p_blk = wx.mul(core, trunc=k)
     correction = r_blk.mul(p_blk, trunc=k).mul(d_blk, trunc=k)

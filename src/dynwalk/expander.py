@@ -87,12 +87,6 @@ class TesterConfig:
                 lo = mid + 1
         return lo
 
-    @staticmethod
-    def for_graph(n: int, alpha, d: int, ell: int | None = None) -> "TesterConfig":
-        if ell is None:
-            ell = TesterConfig.default_ell(n, alpha)
-        return TesterConfig(Rat(alpha), d, ell)
-
 
 def _exp_at_least(r, n: int) -> bool:
     """Whether e^r >= n, for rational r = p/q > 0 and integer n >= 1, exactly.

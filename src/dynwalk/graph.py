@@ -66,10 +66,6 @@ class EdgeBatch:
     def __iter__(self):
         return iter(self.ops)
 
-    def check_size(self, limit: int) -> None:
-        if len(self.ops) > limit:
-            raise BatchRejected(limit, f"batch larger than the limit {limit}")
-
 
 @dataclass
 class DynGraph:

@@ -9,10 +9,11 @@ Three determinant routes live here:
 * ``det_poly``: determinant of a polynomial matrix by evaluation on a
   rational grid, rational determinants per point, and exact interpolation.
 
-``charpoly`` (built on ``det_poly``) and the unit triangular solver round
-out what the power machinery in :mod:`dynwalk.matpow` needs.  Its resolvent
-power table does not call ``det_poly``: one fraction-free elimination per
-grid point yields det(I - zA) and all n^2 Cramer numerators at once.
+``charpoly`` (built on ``det_poly``) serves the oracle's eigenvalue
+bracketer.  The power machinery in :mod:`dynwalk.matpow` needs only the
+unit triangular solver from here: one fraction-free elimination per grid
+point yields det(I - zA) and all n^2 Cramer numerators at once, and the
+characteristic polynomial is the reversal of det(I - zA).
 """
 
 from __future__ import annotations
@@ -138,15 +139,6 @@ class RatMatrix:
             if i != drop_row
         ]
         return RatMatrix(rows)
-
-    def max_abs_entry(self):
-        best = R0
-        for row in self.rows:
-            for v in row:
-                a = abs(v)
-                if a > best:
-                    best = a
-        return best
 
     def max_denominator_bits(self) -> int:
         bits = 0

@@ -11,13 +11,17 @@ Three layers, each reused by the next:
 * ``power_large``: M(x)^k for a polynomial matrix by evaluating on a
   rational grid, reducing z^k modulo the characteristic polynomial at each
   point (so only powers below the dimension are ever formed), and
-  interpolating the entries back.
+  interpolating the entries back.  The characteristic polynomial is the
+  coefficient reversal of det(I - zM), which the power table at that point
+  has already interpolated, so no separate determinant is taken.
 * ``power_sum``: the truncated resolvent sum I + xM + (xM)^2 + ... used by
   the dynamic layer, computable either directly or through ``power_large``.
 
-The magnitude preconditions (constant terms at most 1/(3n), entries at most
-1/(3n) after evaluation) are enforced, not repaired: callers are expected to
-produce admissible instances and a violation is a contract error.
+``power_sum`` brings any input within the magnitude preconditions of the
+charpoly route by an exact power-of-two prescale.  ``power_large`` and
+``small_powers_via_series`` enforce their bounds (constant terms at most
+1/(3n), absolute row sums below one after evaluation) and do not repair
+them: an input outside them is a contract error.
 """
 
 from __future__ import annotations
@@ -25,12 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import Rat
+from .numerics import R0, Rat
 from .poly import UniPoly, divide_monic, EvalGrid, interpolate
 from .linalg import (
     PolyMatrix,
     RatMatrix,
-    charpoly,
+    charpoly,  # noqa: F401 - unused here; bench/layers.py traces matpow.charpoly
     det_poly,  # noqa: F401 - unused here; bench/layers.py traces matpow.det_poly
     solve_unit_lower_triangular,
 )
@@ -47,9 +51,14 @@ __all__ = [
 
 @dataclass
 class PowerTable:
-    """Matrix powers base^0 .. base^m, all exact."""
+    """Matrix powers A^0 .. A^m, all exact, with det(I - zA).
 
-    base: RatMatrix
+    ``det_series`` is the degree <= n polynomial det(I - zA) the powers
+    were solved from; its reversal of order n is the characteristic
+    polynomial det(zI - A).
+    """
+
+    det_series: UniPoly
     powers: list
 
     def __getitem__(self, i: int) -> RatMatrix:
@@ -165,7 +174,7 @@ def small_powers_via_series(mat: RatMatrix, max_power: int) -> PowerTable:
             series = solve_unit_lower_triangular(conv, rhs)
             for i, v in enumerate(series):
                 powers[i].rows[s][t] = v
-    table = PowerTable(mat, powers)
+    table = PowerTable(d_series, powers)
     if table.powers[0] != RatMatrix.identity(n):
         raise AssertionError("zeroth power failed to come out as identity")
     return table
@@ -186,11 +195,13 @@ def power_large(mat: PolyMatrix, k: int) -> PolyMatrix:
 
     Preconditions: entries have degree at most d with constant terms of
     magnitude at most 1/(3n), and k >= 1.  At each point x_i = i/(3dk)^2 of
-    the evaluation grid the scalar matrix M_i is powered by reducing z^k
-    modulo the characteristic polynomial of M_i (Cayley-Hamilton: the
-    remainder r_i has degree below n, so r_i(M_i) needs only the small
-    power table) and the degree <= dk entries of the result are recovered
-    by exact interpolation.
+    the evaluation grid the scalar matrix M_i gets one power table
+    M_i^0..M_i^min(k, n-1).  For k < n the answer at that point is the
+    table's last entry.  Otherwise z^k is reduced modulo the characteristic
+    polynomial chi_i (Cayley-Hamilton: the remainder r_i has degree below
+    n, so r_i(M_i) needs only the table), and chi_i is read off the table
+    as the reversal of det(I - zM_i) = z^n chi_i(1/z).  The degree <= dk
+    entries of the result are recovered by exact interpolation.
 
     Contract errors from the inner layers propagate: if an evaluated matrix
     violates the small-power magnitude bound, that is the caller's instance
@@ -216,13 +227,11 @@ def power_large(mat: PolyMatrix, k: int) -> PolyMatrix:
     z_to_k = UniPoly.monomial(1, k)
     per_point = []
     for x in grid.points:
-        m_x = mat.eval_at(x)
-        chi = charpoly(m_x)
+        table = small_powers_via_series(mat.eval_at(x), min(k, n - 1))
         if k < n:
-            remainder = z_to_k
-        else:
-            _, remainder = divide_monic(z_to_k, chi)
-        table = small_powers_via_series(m_x, max(remainder.degree, 0))
+            per_point.append(table[k])
+            continue
+        _, remainder = divide_monic(z_to_k, table.det_series.reversed_at(n))
         acc = RatMatrix.zeros(n, n)
         for j in range(remainder.degree + 1):
             c = remainder[j]
@@ -251,8 +260,13 @@ def power_sum(mat: PolyMatrix, k: int, method: str = "direct") -> PolyMatrix:
     early once a power vanishes under the truncation (each factor of xM
     raises the minimum degree, so termination is certain).
     ``method="charpoly"`` routes every power through ``power_large``; this is
-    the cascade path, kept equivalent by cross-checking tests and selected
-    by the dynamic layer for oversized instances.
+    the cascade path, selected by the dynamic layer for oversized gadget
+    cores.  Those carry walk sums and need not meet ``power_large``'s
+    magnitude preconditions, so M is first divided by the least power of
+    two c = 2^e with sum of |coefficients| <= c/(3n) in every entry, which
+    bounds every evaluation on [0, 1] by 1/(3n).  Each term (xM)^i is then
+    reassembled exactly as (c^i x^i) (M/c)^i, so any input gives the same
+    sum as the direct route.
     """
     if not mat.is_square:
         raise ValueError("power sum of a non-square matrix")
@@ -273,15 +287,18 @@ def power_sum(mat: PolyMatrix, k: int, method: str = "direct") -> PolyMatrix:
                 term = term.mul(shifted, trunc=k)
         return total
     if method == "charpoly":
-        # x^i M^i contributes nothing once i exceeds k or once the minimum
-        # entry degree pushes every coefficient past the truncation
-        lows = [e.low_degree() for row in mat.rows for e in row if e]
-        min_low = min(lows) if lows else 0
-        for i in range(1, k + 1):
-            if i * (1 + min_low) > k:
-                break
-            mk = power_large(mat, i)
-            term = mk.scale_poly(UniPoly.monomial(1, i), trunc=k)
+        entries = [e for row in mat.rows for e in row if e]
+        bound = max(sum((abs(c) for c in e.coeffs), R0) for e in entries)
+        c = 1
+        while bound * 3 * n > c:
+            c *= 2
+        scaled = PolyMatrix([[e.scale(Rat(1, c)) for e in row] for row in mat.rows])
+        # x^i M^i contributes nothing once the minimum entry degree pushes
+        # every coefficient past the truncation
+        min_low = min(e.low_degree() for e in entries)
+        for i in range(1, k // (1 + min_low) + 1):
+            mk = power_large(scaled, i)
+            term = mk.scale_poly(UniPoly.monomial(Rat(c) ** i, i), trunc=k)
             total = total.add(term)
         return total
     raise ValueError(f"unknown power_sum method {method!r}")

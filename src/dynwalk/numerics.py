@@ -13,7 +13,7 @@ sign carried by the numerator, positive denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 try:
     from gmpy2 import mpq as Rat

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .numerics import R0, R1, Rat
 
-__all__ = ["UniPoly", "EvalGrid", "interpolate", "divide_monic", "mul_mod_deg"]
+__all__ = ["UniPoly", "EvalGrid", "interpolate", "divide_monic"]
 
 
 def _trim(coeffs):
@@ -188,9 +188,6 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly([Rat(i) * c for i, c in enumerate(self.coeffs) if i > 0])
 
-    def max_abs_coeff(self):
-        return max((abs(c) for c in self.coeffs), default=R0)
-
     def low_degree(self) -> int:
         """Smallest exponent with a nonzero coefficient, -1 for zero."""
         for i, c in enumerate(self.coeffs):
@@ -202,10 +199,6 @@ class UniPoly:
 _ZERO = UniPoly()
 _ONE = UniPoly([R1])
 _X = UniPoly([R0, R1])
-
-
-def mul_mod_deg(a: UniPoly, b: UniPoly, k: int) -> UniPoly:
-    return a.mul_mod_deg(b, k)
 
 
 @dataclass(frozen=True)
@@ -237,10 +230,6 @@ class EvalGrid:
     def points(self):
         s2 = self.scale * self.scale
         return [Rat(i, s2) for i in range(self.count)]
-
-    def vandermonde(self):
-        """The grid's Vandermonde matrix as rows of rationals."""
-        return [[x**j for j in range(self.count)] for x in self.points]
 
 
 def interpolate(grid: EvalGrid, values) -> UniPoly:

@@ -59,7 +59,7 @@ def test_default_walk_length():
     assert TesterConfig.default_ell(1024, rat(3, 4)) == 14
     with pytest.raises(ValueError):
         TesterConfig.default_ell(0, rat(1, 2))
-    cfg = TesterConfig.for_graph(16, rat(1, 2), 3)
+    cfg = TesterConfig(rat(1, 2), 3, TesterConfig.default_ell(16, rat(1, 2)))
     assert cfg.ell == 2
 
 

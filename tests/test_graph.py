@@ -67,13 +67,6 @@ def test_edge_op_validation():
         EdgeBatch((("insert", 0, 1),))
 
 
-def test_batch_size_check():
-    b = batch(("insert", 0, 1), ("insert", 1, 2))
-    b.check_size(2)
-    with pytest.raises(BatchRejected):
-        b.check_size(1)
-
-
 # -- lazy transition ----------------------------------------------------------
 
 

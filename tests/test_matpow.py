@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dynwalk import linalg, matpow
 from dynwalk.numerics import Rat, rat
 from dynwalk.poly import UniPoly
 from dynwalk.linalg import PolyMatrix, RatMatrix, det_poly
@@ -14,10 +15,11 @@ from dynwalk.matpow import (
     series_convolution_matrix,
     small_powers_via_series,
 )
-from dynwalk.oracle import det_bareiss
+from dynwalk.oracle import det_bareiss, exact_power_sum
 from dynwalk.graph import DynGraph, lazy_transition
+from dynwalk.dyncore import apply_batch, bipartite_embed, state_from_graph
 
-from conftest import small_entry_matrix
+from conftest import random_batch, random_graph, small_entry_matrix
 
 
 def poly_from(*coeffs):
@@ -40,6 +42,19 @@ def admissible_poly_matrix(rng, size, deg):
             coeffs += [
                 Rat(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(deg)
             ]
+            row.append(UniPoly(coeffs))
+        rows.append(row)
+    return PolyMatrix(rows)
+
+
+def heavy_poly_matrix(rng, size, deg):
+    """Constant terms from 1/(3*size) to 3/(2*size), as gadget cores carry."""
+    rows = []
+    for _ in range(size):
+        row = []
+        for _ in range(size):
+            coeffs = [Rat(rng.choice((-1, 1)) * rng.randint(4, 18), 12 * size)]
+            coeffs += [Rat(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(deg)]
             row.append(UniPoly(coeffs))
         rows.append(row)
     return PolyMatrix(rows)
@@ -90,6 +105,15 @@ def test_small_powers_match_naive_4x4():
         for i in range(5):
             assert t[i] == power
             power = power.mul(a)
+
+
+def test_det_series_reverses_to_charpoly():
+    rng = random.Random(607)
+    for _ in range(10):
+        size = rng.randint(1, 5)
+        a = small_entry_matrix(rng, size)
+        t = small_powers_via_series(a, size)
+        assert t.det_series.reversed_at(size) == linalg.charpoly(a)
 
 
 def test_power_table_steps_by_one_multiplication():
@@ -159,6 +183,20 @@ def test_power_large_examples():
     assert power_large(nil, 2) == PolyMatrix.zeros(2, 2)
 
 
+def test_power_large_at_or_above_dimension_divides_by_charpoly(monkeypatch):
+    calls = []
+    real_divide = matpow.divide_monic
+
+    def counting_divide(g, f):
+        calls.append(f.degree)
+        return real_divide(g, f)
+
+    monkeypatch.setattr(matpow, "divide_monic", counting_divide)
+    m = admissible_poly_matrix(random.Random(608), 3, 1)
+    assert power_large(m, 5) == naive_power(m, 5)
+    assert calls and set(calls) == {3}
+
+
 def test_power_large_validation():
     m = PolyMatrix([[poly_from(rat(1, 4))]])
     with pytest.raises(ValueError):
@@ -226,6 +264,14 @@ def test_power_sum_charpoly_route_agrees():
         m = admissible_poly_matrix(rng, size, 1)
         k = rng.randint(1, 6)
         assert power_sum(m, k, method="charpoly") == power_sum(m, k, method="direct")
+    # outside power_large's bounds: power_sum must prescale them
+    for _ in range(4):
+        size = rng.randint(1, 3)
+        m = heavy_poly_matrix(rng, size, 1)
+        k = rng.randint(2, 5)
+        assert power_sum(m, k, method="charpoly") == power_sum(m, k, method="direct")
+    const = PolyMatrix([[poly_from(rat(1, 3)), poly_from(1)], [poly_from(2), poly_from(0, 1)]])
+    assert power_sum(const, 4, method="charpoly") == power_sum(const, 4, method="direct")
 
 
 def test_power_sum_validation():
@@ -236,3 +282,28 @@ def test_power_sum_validation():
         power_sum(m, 3, method="bogus")
     with pytest.raises(ValueError):
         power_sum(PolyMatrix([[poly_from(1), poly_from(0)]]), 2)
+
+
+# -- the cascade stays off the CRT determinant chain ------------------------
+
+
+def test_cascade_takes_no_crt_determinant(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cascade reached the CRT determinant chain")
+
+    rng = random.Random(609)
+    m = admissible_poly_matrix(rng, 3, 1)
+    st = state_from_graph(random_graph(rng, 8, 3), 4, cascade_threshold=0)
+    b = random_batch(rng, st.graph, 5, min_ops=4)
+    for owner, name in (
+        (linalg, "charpoly"),
+        (linalg, "det_poly"),
+        (matpow, "charpoly"),
+        (matpow, "det_poly"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    assert power_large(m, 2) == naive_power(m, 2)
+    assert power_large(m, 4) == naive_power(m, 4)
+    st = apply_batch(st, b)
+    b = bipartite_embed(PolyMatrix.from_rational(lazy_transition(st.graph)))
+    assert st.G == exact_power_sum(b, 4)
