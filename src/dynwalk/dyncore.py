@@ -19,8 +19,7 @@ D only on the columns an affected column reaches (the K-hop balls around
 the batch), so the product is formed over those support rows and
 columns alone and added into them.  The new G and B replace only the
 rows they touch and share every other row list with the parent
-snapshot; nothing may mutate G.rows or B.rows in place.  The literal
-portal construction is kept alongside as a reference route for the tests.
+snapshot; nothing may mutate G.rows or B.rows in place.
 
 Exact mode keeps G coefficient-identical to a from-scratch recomputation.
 Bits mode charges the precision budget one bit per batch and keeps G on
@@ -60,7 +59,6 @@ __all__ = [
     "apply_entry_deltas",
     "apply_batch",
     "read_power_entry",
-    "portal_correction",
     "truncate_rows",
 ]
 
@@ -333,53 +331,6 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     new_g = state.G.with_rows(touched)
     new_b = _updated_embedding(state.B, gadget.deltas)
     return replace(state, G=new_g, B=new_b, version=state.version + 1)
-
-
-def portal_correction(
-    g: PolyMatrix,
-    gadget: DeltaGadget,
-    s: int,
-    t: int,
-    k: int,
-    max_power: int | None = None,
-) -> UniPoly:
-    """Reference route: the literal portal-matrix power sum for one pair.
-
-    Builds the full gadget matrix over u_in + u_out + two portal slots
-    (portals stay distinct from every affected index even when s or t is
-    itself affected) and returns sum of Delta^m [portal_s, portal_t] for
-    m = 1..max_power, mod x^(k+1).  max_power defaults to 2k+1, which is
-    provably enough; the tests also run it higher to confirm stability.
-    """
-    if gadget.is_empty():
-        return UniPoly.zero()
-    p, q = len(gadget.u_in), len(gadget.u_out)
-    dim = p + q + 2
-    ps, pt = p + q, p + q + 1
-    zero = UniPoly.zero()
-    rows = [[zero] * dim for _ in range(dim)]
-    xpoly = UniPoly.x()
-    for i in range(p):
-        for j in range(q):
-            w = gadget.weights.rows[i][j]
-            if w != 0:
-                rows[i][p + j] = xpoly.scale(w)
-    for j in range(q):
-        for i in range(p):
-            rows[p + j][i] = g.rows[gadget.u_out[j]][gadget.u_in[i]]
-    for i in range(p):
-        rows[ps][i] = g.rows[s][gadget.u_in[i]]
-    for j in range(q):
-        rows[p + j][pt] = g.rows[gadget.u_out[j]][t]
-    delta = PolyMatrix(rows)
-    if max_power is None:
-        max_power = 2 * k + 1
-    acc = delta
-    total = acc.rows[ps][pt]
-    for _ in range(max_power - 1):
-        acc = acc.mul(delta, trunc=k)
-        total = total + acc.rows[ps][pt]
-    return total.truncated(k)
 
 
 def truncate_rows(

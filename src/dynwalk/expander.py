@@ -76,6 +76,8 @@ class TesterConfig:
         phi = 1 - Rat(alpha)
         if n < 1:
             raise ValueError("need at least one vertex")
+        if not (0 < phi < 1):
+            raise ValueError("alpha must lie strictly between 0 and 1")
         rate = 8 * phi * phi
         enough = Rat(7 * n.bit_length(), 10) / rate
         lo, hi = 1, max(1, -(-enough.numerator // enough.denominator))

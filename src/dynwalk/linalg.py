@@ -10,10 +10,11 @@ Three determinant routes live here:
   rational grid, rational determinants per point, and exact interpolation.
 
 ``charpoly`` (built on ``det_poly``) serves the oracle's eigenvalue
-bracketer.  The power machinery in :mod:`dynwalk.matpow` needs only the
-unit triangular solver from here: one fraction-free elimination per grid
-point yields det(I - zA) and all n^2 Cramer numerators at once, and the
-characteristic polynomial is the reversal of det(I - zA).
+bracketer.  The power machinery in :mod:`dynwalk.matpow` takes none of
+these determinants, only the matrix containers: one fraction-free
+elimination per grid point yields det(I - zA) and all n^2 Cramer
+numerators at once, and the characteristic polynomial is the reversal of
+det(I - zA).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "det_rational_crt",
     "det_poly",
     "charpoly",
-    "solve_unit_lower_triangular",
     "primes_above",
 ]
 
@@ -494,30 +494,3 @@ def charpoly(m: RatMatrix) -> UniPoly:
         raise AssertionError("characteristic polynomial came out non-monic")
     return out
 
-
-def solve_unit_lower_triangular(m: RatMatrix, rhs):
-    """Forward substitution for a unit lower triangular system.
-
-    The matrix must have ones on the diagonal and zeros above it; both are
-    checked because callers rely on the determinant-one guarantee.
-    """
-    if not m.is_square:
-        raise ValueError("triangular solve needs a square matrix")
-    n = m.nrows
-    rhs = [Rat(v) for v in rhs]
-    if len(rhs) != n:
-        raise ValueError("right-hand side length mismatch")
-    for i in range(n):
-        if m.rows[i][i] != 1:
-            raise ValueError("diagonal entry differs from one")
-        for j in range(i + 1, n):
-            if m.rows[i][j] != 0:
-                raise ValueError("matrix is not lower triangular")
-    out = []
-    for i in range(n):
-        acc = rhs[i]
-        row = m.rows[i]
-        for j in range(i):
-            acc -= row[j] * out[j]
-        out.append(acc)
-    return out

@@ -1,21 +1,20 @@
 """Matrix powers through determinants, remainders, and interpolation.
 
-Three layers, each reused by the next:
+Two layers, the second reusing the first:
 
 * ``small_powers_via_series``: entries of A^0..A^m read off from the power
   series expansion of (I - zA)^{-1}.  Each entry series is a Cramer ratio
   adj(I - zA)[s, t] / det(I - zA); both polynomials are interpolated from
   one fraction-free Gauss-Jordan elimination per grid point, and the
-  series coefficients come out of a unit lower triangular convolution
-  solve, never an explicit inverse of a polynomial matrix.
-* ``power_large``: M(x)^k for a polynomial matrix by evaluating on a
-  rational grid, reducing z^k modulo the characteristic polynomial at each
-  point (so only powers below the dimension are ever formed), and
-  interpolating the entries back.  The characteristic polynomial is the
-  coefficient reversal of det(I - zM), which the power table at that point
-  has already interpolated, so no separate determinant is taken.
-* ``power_sum``: the truncated resolvent sum I + xM + (xM)^2 + ... used by
-  the dynamic layer, computable either directly or through ``power_large``.
+  series is the adjugate entry times ``poly.series_inverse`` of the
+  determinant, never an explicit inverse of a polynomial matrix.
+* ``_grid_power_sum``: sum_i w_i(x) M(x)^i for a polynomial matrix, from
+  one power table per point of one rational grid.  A polynomial
+  sum_i w_i z^i of degree at least the dimension is first reduced modulo
+  the characteristic polynomial, the reversal of the table's det(I - zM),
+  so only powers below the dimension are formed.  ``power_large`` (one
+  power M(x)^k) and the cascade route of ``power_sum`` (the truncated
+  resolvent sum used by the dynamic layer) are both this one loop.
 
 ``power_sum`` brings any input within the magnitude preconditions of the
 charpoly route by an exact power-of-two prescale.  ``power_large`` and
@@ -30,19 +29,17 @@ import math
 from dataclasses import dataclass
 
 from .numerics import R0, Rat
-from .poly import UniPoly, divide_monic, EvalGrid, interpolate
+from .poly import UniPoly, divide_monic, EvalGrid, interpolate, series_inverse
 from .linalg import (
     PolyMatrix,
     RatMatrix,
     charpoly,  # noqa: F401 - unused here; bench/layers.py traces matpow.charpoly
     det_poly,  # noqa: F401 - unused here; bench/layers.py traces matpow.det_poly
-    solve_unit_lower_triangular,
 )
 
 __all__ = [
     "PowerTable",
     "small_powers_via_series",
-    "series_convolution_matrix",
     "power_large",
     "power_sum",
     "naive_power",
@@ -66,21 +63,6 @@ class PowerTable:
 
     def __len__(self) -> int:
         return len(self.powers)
-
-
-def series_convolution_matrix(d_series: UniPoly, size: int) -> RatMatrix:
-    """The unit lower triangular matrix M with M[i][k] = d_series[i-k].
-
-    d_series must have constant term one (it is det(I - zA), whose constant
-    term is det(I) = 1), which makes the matrix unit diagonal and its
-    determinant one regardless of the entries of A.
-    """
-    if d_series[0] != 1:
-        raise ValueError("series must have constant term one")
-    rows = []
-    for i in range(size):
-        rows.append([d_series[i - k] if k <= i else Rat(0) for k in range(size)])
-    return RatMatrix(rows)
 
 
 def _det_and_adjugate(mat: RatMatrix):
@@ -128,13 +110,13 @@ def small_powers_via_series(mat: RatMatrix, max_power: int) -> PowerTable:
     honest; raw transition matrices sit exactly at one and must be rescaled
     or evaluated first).  For each entry (s, t) the series
     (I - zA)^{-1}[s, t] equals the Cramer numerator adj(I - zA)[s, t]
-    divided by det(I - zA); matching coefficients of that identity gives a
-    unit lower triangular system whose solution lists the walk sums
-    A^i[s, t].  Both polynomials have degree at most n, so they are
-    interpolated from the n+1 points z_i = i/(3n)^2 of one grid, at each
-    of which one elimination yields the determinant and all n^2 Cramer
-    numerators.  Every z_i is below one, so I - z_i A is strictly
-    diagonally dominant and invertible.
+    divided by det(I - zA), whose constant term is det(I) = 1, so its
+    coefficients up to z^max_power, the walk sums A^i[s, t], are the
+    numerator times the truncated series inverse of the determinant.  Both
+    polynomials have degree at most n, so they are interpolated from the
+    n+1 points z_i = i/(3n)^2 of one grid, at each of which one elimination
+    yields the determinant and all n^2 Cramer numerators.  Every z_i is
+    below one, so I - z_i A is strictly diagonally dominant and invertible.
     """
     if not mat.is_square:
         raise ValueError("power table needs a square matrix")
@@ -165,15 +147,14 @@ def small_powers_via_series(mat: RatMatrix, max_power: int) -> PowerTable:
     d_series = interpolate(grid, dets)
     if d_series[0] != 1:
         raise AssertionError("det(I - zA) lost its unit constant term")
-    conv = series_convolution_matrix(d_series, max_power + 1)
+    inv = series_inverse(d_series, max_power)
     powers = [RatMatrix.zeros(n, n) for _ in range(max_power + 1)]
     for s in range(n):
         for t in range(n):
             numer = interpolate(grid, [adj[s][t] for adj in adjs])
-            rhs = [numer[i] for i in range(max_power + 1)]
-            series = solve_unit_lower_triangular(conv, rhs)
-            for i, v in enumerate(series):
-                powers[i].rows[s][t] = v
+            series = numer.mul_mod_deg(inv, max_power)
+            for i in range(max_power + 1):
+                powers[i].rows[s][t] = series[i]
     table = PowerTable(d_series, powers)
     if table.powers[0] != RatMatrix.identity(n):
         raise AssertionError("zeroth power failed to come out as identity")
@@ -190,22 +171,50 @@ def naive_power(mat: PolyMatrix, k: int) -> PolyMatrix:
     return out
 
 
+def _grid_power_sum(mat: PolyMatrix, poly_at, degree: int) -> PolyMatrix:
+    """sum_i w_i(x) mat(x)^i, interpolated from one grid of degree + 1 points.
+
+    poly_at(x) is p_x(z) = sum_i w_i(x) z^i, and degree bounds the degree
+    in x of every entry of the result.  At each point with p_x nonzero,
+    M_x = mat(x) gets one power table up to min(deg p_x, n-1).  When
+    deg p_x >= n, p_x is first reduced modulo the characteristic polynomial
+    chi_x, the reversal of the table's det(I - zM_x) = z^n chi_x(1/z):
+    by Cayley-Hamilton the remainder, of degree below n, takes the same
+    value at M_x.  Each entry is then interpolated once.
+    """
+    n = mat.nrows
+    grid = EvalGrid(degree + 1)
+    per_point = []
+    for x in grid.points:
+        p = poly_at(x)
+        terms = []
+        if p:
+            table = small_powers_via_series(mat.eval_at(x), min(p.degree, n - 1))
+            if p.degree >= n:
+                _, p = divide_monic(p, table.det_series.reversed_at(n))
+            terms = [(c, table[j].rows) for j, c in enumerate(p.coeffs) if c]
+        per_point.append(
+            [
+                [sum((c * m[s][t] for c, m in terms), R0) for t in range(n)]
+                for s in range(n)
+            ]
+        )
+    return PolyMatrix(
+        [
+            [interpolate(grid, [v[s][t] for v in per_point]) for t in range(n)]
+            for s in range(n)
+        ]
+    )
+
+
 def power_large(mat: PolyMatrix, k: int) -> PolyMatrix:
     """mat(x)^k for a polynomial matrix, without forming k products.
 
     Preconditions: entries have degree at most d with constant terms of
-    magnitude at most 1/(3n), and k >= 1.  At each point x_i = i/(3dk)^2 of
-    the evaluation grid the scalar matrix M_i gets one power table
-    M_i^0..M_i^min(k, n-1).  For k < n the answer at that point is the
-    table's last entry.  Otherwise z^k is reduced modulo the characteristic
-    polynomial chi_i (Cayley-Hamilton: the remainder r_i has degree below
-    n, so r_i(M_i) needs only the table), and chi_i is read off the table
-    as the reversal of det(I - zM_i) = z^n chi_i(1/z).  The degree <= dk
-    entries of the result are recovered by exact interpolation.
-
-    Contract errors from the inner layers propagate: if an evaluated matrix
-    violates the small-power magnitude bound, that is the caller's instance
-    to fix.
+    magnitude at most 1/(3n), and k >= 1.  This is ``_grid_power_sum`` of
+    p_x(z) = z^k on the d*k + 1 points x_i = i/(3dk)^2.  Contract errors
+    from the inner layers propagate: if an evaluated matrix violates the
+    small-power magnitude bound, that is the caller's instance to fix.
     """
     if not mat.is_square:
         raise ValueError("powering a non-square matrix")
@@ -214,7 +223,6 @@ def power_large(mat: PolyMatrix, k: int) -> PolyMatrix:
         raise ValueError("empty matrix")
     if k < 1:
         raise ValueError("power must be at least one")
-    d = max(mat.max_degree, 0)
     cap = Rat(1, 3 * n)
     for row in mat.rows:
         for e in row:
@@ -222,35 +230,8 @@ def power_large(mat: PolyMatrix, k: int) -> PolyMatrix:
                 raise ValueError(
                     "constant term exceeds 1/(3n); not an admissible instance"
                 )
-    target = d * k
-    grid = EvalGrid(target + 1, max(1, 3 * target))
     z_to_k = UniPoly.monomial(1, k)
-    per_point = []
-    for x in grid.points:
-        table = small_powers_via_series(mat.eval_at(x), min(k, n - 1))
-        if k < n:
-            per_point.append(table[k])
-            continue
-        _, remainder = divide_monic(z_to_k, table.det_series.reversed_at(n))
-        acc = RatMatrix.zeros(n, n)
-        for j in range(remainder.degree + 1):
-            c = remainder[j]
-            if c == 0:
-                continue
-            pj = table[j]
-            for s in range(n):
-                arow = acc.rows[s]
-                prow = pj.rows[s]
-                for t in range(n):
-                    arow[t] += c * prow[t]
-        per_point.append(acc)
-    rows = []
-    for s in range(n):
-        row = []
-        for t in range(n):
-            row.append(interpolate(grid, [pp.rows[s][t] for pp in per_point]))
-        rows.append(row)
-    return PolyMatrix(rows)
+    return _grid_power_sum(mat, lambda x: z_to_k, max(mat.max_degree, 0) * k)
 
 
 def power_sum(mat: PolyMatrix, k: int, method: str = "direct") -> PolyMatrix:
@@ -259,14 +240,16 @@ def power_sum(mat: PolyMatrix, k: int, method: str = "direct") -> PolyMatrix:
     ``method="direct"`` accumulates successive truncated products and stops
     early once a power vanishes under the truncation (each factor of xM
     raises the minimum degree, so termination is certain).
-    ``method="charpoly"`` routes every power through ``power_large``; this is
-    the cascade path, selected by the dynamic layer for oversized gadget
-    cores.  Those carry walk sums and need not meet ``power_large``'s
-    magnitude preconditions, so M is first divided by the least power of
-    two c = 2^e with sum of |coefficients| <= c/(3n) in every entry, which
-    bounds every evaluation on [0, 1] by 1/(3n).  Each term (xM)^i is then
-    reassembled exactly as (c^i x^i) (M/c)^i, so any input gives the same
-    sum as the direct route.
+    ``method="charpoly"`` is the cascade path, selected by the dynamic
+    layer for oversized gadget cores.  Those carry walk sums and need not
+    meet ``power_large``'s magnitude preconditions, so M is first divided
+    by the least power of two c = 2^e with sum of |coefficients| <= c/(3n)
+    in every entry, which bounds every evaluation on [0, 1] by 1/(3n).
+    The terms i = 1..i_max that survive the truncation are then one
+    ``_grid_power_sum`` of p_x(z) = sum_i (c x z)^i over M/c, since
+    (c x)^i (M/c)(x)^i = x^i M(x)^i exactly; its entries have degree at
+    most (d+1) i_max and are cut mod x^(k+1).  Any input therefore gives
+    the same sum as the direct route.
     """
     if not mat.is_square:
         raise ValueError("power sum of a non-square matrix")
@@ -295,10 +278,11 @@ def power_sum(mat: PolyMatrix, k: int, method: str = "direct") -> PolyMatrix:
         scaled = PolyMatrix([[e.scale(Rat(1, c)) for e in row] for row in mat.rows])
         # x^i M^i contributes nothing once the minimum entry degree pushes
         # every coefficient past the truncation
-        min_low = min(e.low_degree() for e in entries)
-        for i in range(1, k // (1 + min_low) + 1):
-            mk = power_large(scaled, i)
-            term = mk.scale_poly(UniPoly.monomial(Rat(c) ** i, i), trunc=k)
-            total = total.add(term)
-        return total
+        i_max = k // (1 + min(e.low_degree() for e in entries))
+
+        def poly_at(x):  # sum of (c x z)^i for i = 1..i_max
+            return UniPoly([R0] + [(c * x) ** i for i in range(1, i_max + 1)])
+
+        degree = (max(mat.max_degree, 0) + 1) * i_max
+        return total.add(_grid_power_sum(scaled, poly_at, degree).truncated(k))
     raise ValueError(f"unknown power_sum method {method!r}")

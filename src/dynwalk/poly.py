@@ -11,9 +11,9 @@ The two nontrivial algorithms are:
   form of the Vandermonde solve reduces to integer forward differences over
   one common denominator, expanded in falling factorials (signed Stirling
   numbers of the first kind) with a single division per coefficient.
-* ``divide_monic``: division with remainder of monic polynomials through
-  coefficient reversal and a truncated power-series inverse of the divisor,
-  computed by its linear recurrence rather than by long division.
+* ``divide_monic``: division with remainder by a monic polynomial through
+  coefficient reversal and ``series_inverse``, the truncated power-series
+  inverse of a polynomial with constant term one by its linear recurrence.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .numerics import R0, R1, Rat
 
-__all__ = ["UniPoly", "EvalGrid", "interpolate", "divide_monic"]
+__all__ = ["UniPoly", "EvalGrid", "interpolate", "series_inverse", "divide_monic"]
 
 
 def _trim(coeffs):
@@ -280,33 +280,45 @@ def interpolate(grid: EvalGrid, values) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def divide_monic(g: UniPoly, f: UniPoly):
-    """Quotient and remainder of monic g by monic f, with deg r < deg f.
+def series_inverse(f: UniPoly, j: int) -> UniPoly:
+    """The power series 1/f truncated to degree j, for f with f[0] == 1.
 
-    Both inputs must be monic and deg g >= deg f >= 1.  The quotient is
-    found by reversing coefficients and inverting the reversed divisor f_R
-    as a power series truncated at degree j = deg g - deg f.  Its constant
-    term is one, so the inverse follows from the order-m recurrence
-    inv[i] = -sum_{l=1..min(i,m)} f_R[l] * inv[i-l], at O(jm) cost; the
-    remainder falls out as g - q*f.
+    The unit constant term makes the inverse a linear recurrence of order
+    m = deg f: inv[0] = 1 and inv[i] = -sum_{l=1..min(i,m)} f[l] * inv[i-l],
+    at O(jm) cost and with no division.
     """
-    if not f.is_monic() or not g.is_monic():
-        raise ValueError("divide_monic needs monic operands")
+    if f[0] != 1:
+        raise ValueError("series inverse needs constant term one")
+    fc = f.coeffs
+    m = f.degree
+    inv = [R1]
+    for i in range(1, j + 1):
+        acc = R0
+        for l in range(1, min(i, m) + 1):
+            acc -= fc[l] * inv[i - l]
+        inv.append(acc)
+    return UniPoly(inv)
+
+
+def divide_monic(g: UniPoly, f: UniPoly):
+    """Quotient and remainder of g by monic f, with deg r < deg f.
+
+    f must be monic and deg g >= deg f >= 1; g need not be monic.  The
+    quotient is found by reversing coefficients: the reversed quotient is
+    the reversed dividend times the series inverse of the reversed divisor
+    f_R, truncated at degree j = deg g - deg f.  f_R has constant term one
+    because f is monic, so ``series_inverse`` applies; the remainder falls
+    out as g - q*f.
+    """
+    if not f.is_monic():
+        raise ValueError("divide_monic needs a monic divisor")
     n, m = g.degree, f.degree
     if m < 1:
         raise ValueError("divisor must have degree at least one")
     if n < m:
         raise ValueError("dividend degree below divisor degree")
     j = n - m
-    fc = f.coeffs  # f_R[l] == fc[m - l], and f_R[0] == 1
-    inv = [R1]
-    for i in range(1, j + 1):
-        acc = R0
-        for l in range(1, min(i, m) + 1):
-            acc -= fc[m - l] * inv[i - l]
-        inv.append(acc)
-    g_rev = g.reversed_at(n)
-    q_rev = UniPoly(inv).mul_mod_deg(g_rev, j)
+    q_rev = series_inverse(f.reversed_at(m), j).mul_mod_deg(g.reversed_at(n), j)
     q = UniPoly([q_rev[j - i] for i in range(j + 1)])
     r = g - q * f
     if r.degree >= m:

@@ -18,6 +18,7 @@ from dynwalk.graph import DynGraph, lazy_transition
 from dynwalk.dyncore import (
     apply_batch,
     apply_entry_deltas,
+    bipartite_embed,
     read_power_entry,
     state_from_graph,
     state_from_matrix,
@@ -90,7 +91,11 @@ def test_criterion_01_exact_ground_truth():
         st = state_from_graph(DynGraph.empty(n, d), k)
         for _ in range(30):
             st = apply_batch(st, random_batch(rng, st.graph, 3))
-            assert st.G == exact_power_sum(st.B, st.K)
+            # B must follow the graph, and G must follow that B: a fold that
+            # updated neither would still satisfy G == sum of (x B)^i
+            b = bipartite_embed(PolyMatrix.from_rational(lazy_transition(st.graph)))
+            assert st.B == b
+            assert st.G == exact_power_sum(b, st.K)
             checks += 1
     dt = time.time() - t0
     assert dt < 300

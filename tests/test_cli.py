@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dynwalk
 from dynwalk.cli import main, run_script, run_selftest
 
@@ -122,6 +124,21 @@ def test_query_before_init():
     t = run_script("query expansion\n")
     assert t.lines == ("error: not initialized; the first command must be init",)
     assert t.exit_code == 0  # semantic, not parse
+
+
+def test_alpha_of_one_without_ell_is_an_error_line():
+    # the default walk length divides by 1 - alpha; it must refuse, not crash
+    t = run_script(
+        "init n=4 d=2 alpha=1/1\n"
+        "init n=2 d=1 alpha=1/2 prec=exact ell=2\n"
+        "batch +(0,1)\n"
+        "query expansion\n"
+    )
+    assert t.lines == (
+        "error: alpha must lie strictly between 0 and 1",
+        "expansion: accept",
+    )
+    assert t.exit_code == 0
 
 
 def test_rejected_batch_becomes_error_line_and_state_survives():
@@ -281,3 +298,21 @@ def test_main_reads_stdin_by_default(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("error: not initialized")
     assert out[1].startswith("parse error at line 2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["muddle_trace.py", "--steps", "5"],
+        ["expansion_demo.py", "--family", "cycle", "--n", "6", "--max-ell", "2"],
+    ],
+)
+def test_scripts_run(argv):
+    script = Path(__file__).resolve().parent.parent / "scripts" / argv[0]
+    proc = subprocess.run(
+        [sys.executable, str(script), *argv[1:]],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

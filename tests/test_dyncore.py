@@ -26,7 +26,6 @@ from dynwalk.dyncore import (
     bipartite_embed,
     build_delta_gadgets,
     initial_state,
-    portal_correction,
     read_power_entry,
     state_from_graph,
     state_from_matrix,
@@ -217,6 +216,53 @@ def test_single_delta_matches_oracle_recompute():
 
 
 # -- the portal reference route ---------------------------------------------------------
+
+
+def portal_correction(
+    g: PolyMatrix,
+    gadget: DeltaGadget,
+    s: int,
+    t: int,
+    k: int,
+    max_power: int | None = None,
+) -> UniPoly:
+    """Reference route: the literal portal-matrix power sum for one pair.
+
+    Builds the full gadget matrix over u_in + u_out + two portal slots
+    (portals stay distinct from every affected index even when s or t is
+    itself affected) and returns sum of Delta^m [portal_s, portal_t] for
+    m = 1..max_power, mod x^(k+1).  max_power defaults to 2k+1, which is
+    provably enough; the tests also run it higher to confirm stability.
+    """
+    if gadget.is_empty():
+        return UniPoly.zero()
+    p, q = len(gadget.u_in), len(gadget.u_out)
+    dim = p + q + 2
+    ps, pt = p + q, p + q + 1
+    zero = UniPoly.zero()
+    rows = [[zero] * dim for _ in range(dim)]
+    xpoly = UniPoly.x()
+    for i in range(p):
+        for j in range(q):
+            w = gadget.weights.rows[i][j]
+            if w != 0:
+                rows[i][p + j] = xpoly.scale(w)
+    for j in range(q):
+        for i in range(p):
+            rows[p + j][i] = g.rows[gadget.u_out[j]][gadget.u_in[i]]
+    for i in range(p):
+        rows[ps][i] = g.rows[s][gadget.u_in[i]]
+    for j in range(q):
+        rows[p + j][pt] = g.rows[gadget.u_out[j]][t]
+    delta = PolyMatrix(rows)
+    if max_power is None:
+        max_power = 2 * k + 1
+    acc = delta
+    total = acc.rows[ps][pt]
+    for _ in range(max_power - 1):
+        acc = acc.mul(delta, trunc=k)
+        total = total + acc.rows[ps][pt]
+    return total.truncated(k)
 
 
 def test_fast_path_equals_portal_construction():

@@ -59,6 +59,9 @@ def test_default_walk_length():
     assert TesterConfig.default_ell(1024, rat(3, 4)) == 14
     with pytest.raises(ValueError):
         TesterConfig.default_ell(0, rat(1, 2))
+    for alpha in (0, 1, rat(3, 2), rat(-1, 2)):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            TesterConfig.default_ell(16, alpha)
     cfg = TesterConfig(rat(1, 2), 3, TesterConfig.default_ell(16, rat(1, 2)))
     assert cfg.ell == 2
 

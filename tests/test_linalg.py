@@ -15,7 +15,6 @@ from dynwalk.linalg import (
     det_poly,
     det_rational_crt,
     primes_above,
-    solve_unit_lower_triangular,
 )
 from dynwalk.oracle import det_bareiss
 
@@ -308,44 +307,3 @@ def test_cayley_hamilton_3x3():
         acc = acc.add(RatMatrix([[p[j] * v for v in row] for row in power.rows]))
         power = power.mul(a)
     assert acc == RatMatrix.zeros(3, 3)
-
-
-# -- triangular solves --------------------------------------------------------
-
-
-def test_solve_unit_lower_triangular_examples():
-    i3 = RatMatrix.identity(3)
-    assert solve_unit_lower_triangular(i3, [1, 2, 3]) == [1, 2, 3]
-    m = RatMatrix([[1, 0], [rat(1, 2), 1]])
-    assert solve_unit_lower_triangular(m, [1, 1]) == [1, rat(1, 2)]
-
-
-def test_solve_unit_lower_triangular_validation():
-    with pytest.raises(ValueError):
-        solve_unit_lower_triangular(RatMatrix([[2, 0], [0, 1]]), [1, 1])
-    with pytest.raises(ValueError):
-        solve_unit_lower_triangular(RatMatrix([[1, 1], [0, 1]]), [1, 1])
-    with pytest.raises(ValueError):
-        solve_unit_lower_triangular(RatMatrix([[1]]), [1, 2])
-    with pytest.raises(ValueError):
-        solve_unit_lower_triangular(RatMatrix([[1, 0]]), [1])
-
-
-def test_solve_residual_is_zero():
-    rng = random.Random(508)
-    for _ in range(15):
-        size = rng.randint(1, 6)
-        rows = [
-            [
-                Rat(1)
-                if i == j
-                else (Rat(rng.randint(-5, 5), rng.randint(1, 5)) if j < i else Rat(0))
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
-        m = RatMatrix(rows)
-        rhs = [Rat(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)]
-        x = solve_unit_lower_triangular(m, rhs)
-        for i in range(size):
-            assert sum(m.rows[i][j] * x[j] for j in range(size)) == rhs[i]

@@ -12,10 +12,9 @@ from dynwalk.matpow import (
     naive_power,
     power_large,
     power_sum,
-    series_convolution_matrix,
     small_powers_via_series,
 )
-from dynwalk.oracle import det_bareiss, exact_power_sum
+from dynwalk.oracle import exact_power_sum
 from dynwalk.graph import DynGraph, lazy_transition
 from dynwalk.dyncore import apply_batch, bipartite_embed, state_from_graph
 
@@ -125,22 +124,6 @@ def test_power_table_steps_by_one_multiplication():
 
 
 # -- the convolution structure -----------------------------------------------
-
-
-def test_series_convolution_matrix_layout():
-    d = poly_from(1, rat(-1, 2), rat(1, 3))
-    m = series_convolution_matrix(d, 4)
-    assert m == RatMatrix(
-        [
-            [1, 0, 0, 0],
-            [rat(-1, 2), 1, 0, 0],
-            [rat(1, 3), rat(-1, 2), 1, 0],
-            [0, rat(1, 3), rat(-1, 2), 1],
-        ]
-    )
-    assert det_bareiss(m) == 1
-    with pytest.raises(ValueError):
-        series_convolution_matrix(poly_from(2, 1), 3)
 
 
 def test_convolution_identity_from_independent_routes():
@@ -272,6 +255,34 @@ def test_power_sum_charpoly_route_agrees():
         assert power_sum(m, k, method="charpoly") == power_sum(m, k, method="direct")
     const = PolyMatrix([[poly_from(rat(1, 3)), poly_from(1)], [poly_from(2), poly_from(0, 1)]])
     assert power_sum(const, 4, method="charpoly") == power_sum(const, 4, method="direct")
+
+
+def test_cascade_power_sum_builds_one_table_per_grid_point(monkeypatch):
+    calls = {"table": 0, "divide": 0}
+    real_table, real_divide = matpow.small_powers_via_series, matpow.divide_monic
+
+    def counting_table(*args):
+        calls["table"] += 1
+        return real_table(*args)
+
+    def counting_divide(*args):
+        calls["divide"] += 1
+        return real_divide(*args)
+
+    def refuse(*args):
+        raise AssertionError("the cascade went through power_large")
+
+    monkeypatch.setattr(matpow, "small_powers_via_series", counting_table)
+    monkeypatch.setattr(matpow, "divide_monic", counting_divide)
+    monkeypatch.setattr(matpow, "power_large", refuse)
+    m = PolyMatrix(
+        [[poly_from(rat(1, 2), 1), poly_from(0, 2)], [poly_from(3), poly_from(rat(-1, 5))]]
+    )
+    # degree d = 1 and constant terms everywhere, so i_max = k = 3 >= n = 2:
+    # (d + 1) i_max + 1 = 7 grid points, and x = 0 needs no table
+    got = power_sum(m, 3, method="charpoly")
+    assert calls == {"table": 6, "divide": 6}
+    assert got == power_sum(m, 3, method="direct")
 
 
 def test_power_sum_validation():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynwalk.numerics import Rat, pow2, rat, truncate_to_bits
-from dynwalk.poly import EvalGrid, UniPoly, divide_monic, interpolate
+from dynwalk.poly import EvalGrid, UniPoly, divide_monic, interpolate, series_inverse
 
 from conftest import vandermonde_inverse_norm
 
@@ -131,6 +131,25 @@ def test_interpolate_roundtrip_non_default_scale(count, scale):
     assert interpolate(grid, [p.eval(x) for x in grid.points]) == p
 
 
+def test_series_inverse_examples():
+    # 1/(1 - x) = 1 + x + x^2 + ...
+    assert series_inverse(poly_from(1, -1), 4) == poly_from(1, 1, 1, 1, 1)
+    # 1/(1 + x)^2 = 1 - 2x + 3x^2 - 4x^3 + ...
+    assert series_inverse(poly_from(1, 2, 1), 3) == poly_from(1, -2, 3, -4)
+    assert series_inverse(poly_from(1, rat(1, 3)), 0) == UniPoly.one()
+    assert series_inverse(UniPoly.one(), 5) == UniPoly.one()
+    with pytest.raises(ValueError):
+        series_inverse(poly_from(2, 1), 3)
+    with pytest.raises(ValueError):
+        series_inverse(poly_from(0, 1), 3)
+
+
+@given(st.lists(small_rats, min_size=0, max_size=12), st.integers(0, 20))
+def test_series_inverse_inverts(tail, j):
+    f = UniPoly([Rat(1)] + tail)
+    assert series_inverse(f, j).mul_mod_deg(f, j) == UniPoly.one()
+
+
 def test_divide_monic_examples():
     z3 = UniPoly.monomial(1, 3)
     q, r = divide_monic(z3, poly_from(0, rat(1, 2), 1))
@@ -143,6 +162,13 @@ def test_divide_monic_examples():
     q, r = divide_monic(z3, poly_from(rat(-1, 4), 1))
     assert q == poly_from(rat(1, 16), rat(1, 4), 1)
     assert r == poly_from(rat(1, 64))
+    # only the divisor has to be monic
+    q, r = divide_monic(poly_from(1, 0, 0, 2), poly_from(rat(-1, 2), 1))
+    assert q == poly_from(rat(1, 2), 1, 2)
+    assert r == poly_from(rat(5, 4))
+    q, r = divide_monic(poly_from(0, 0, -3), poly_from(0, 1, 1))
+    assert q == poly_from(-3)
+    assert r == poly_from(0, 3)
 
 
 def test_divide_monic_z64_by_degree_5():
