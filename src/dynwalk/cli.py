@@ -15,7 +15,10 @@ Only queries (and errors) produce output, one line each, so a transcript
 is byte-reproducible from its script.  Parse errors are reported with
 their line number and poison the exit code; semantic errors (rejected
 batches, stale precision, refused queries) become "error: ..." lines and
-execution continues.
+execution continues.  A broken internal contract (an AssertionError
+from the library, such as a zero pivot or an oversized remainder) is
+reported as "internal error at line N: ..." and stops the script, with
+exit code 3.
 """
 
 from __future__ import annotations
@@ -40,9 +43,13 @@ __all__ = ["Transcript", "run_script", "run_selftest", "main"]
 class Transcript:
     lines: tuple
     parse_errors: int
+    internal_error: bool = False
 
     @property
     def exit_code(self) -> int:
+        """3 after an internal error, else 1 after a parse error, else 0."""
+        if self.internal_error:
+            return 3
         return 1 if self.parse_errors else 0
 
     @property
@@ -94,6 +101,7 @@ class _Runner:
     def __init__(self):
         self.out = []
         self.parse_errors = 0
+        self.internal_error = False
         self.tracing = False
         self.cfg = None
         self.state = None
@@ -253,6 +261,9 @@ class _Runner:
             self.out.append(f"parse error at line {lineno}: {exc}")
         except (BatchRejected, BudgetExhausted, PrecisionRefusal, ValueError) as exc:
             self.out.append(f"error: {exc}")
+        except AssertionError as exc:
+            self.internal_error = True
+            self.out.append(f"internal error at line {lineno}: {exc}")
 
 
 def run_script(stream) -> Transcript:
@@ -262,7 +273,9 @@ def run_script(stream) -> Transcript:
     runner = _Runner()
     for lineno, raw in enumerate(stream, start=1):
         runner.feed(lineno, raw)
-    return Transcript(tuple(runner.out), runner.parse_errors)
+        if runner.internal_error:
+            break
+    return Transcript(tuple(runner.out), runner.parse_errors, runner.internal_error)
 
 
 # -- selftest ---------------------------------------------------------------

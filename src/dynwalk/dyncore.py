@@ -13,8 +13,15 @@ weights, the accumulated portal sum collapses to
 
     correction = R * W * (I + CW + (CW)^2 + ...) * D   (mod x^(K+1)),
 
-three small matrix products around one truncated power sum.  The fold is
-local: R is nonzero only on the rows of G that reach an affected row and
+three small matrix products around one truncated power sum.  All of it
+runs on integers: the blocks R, C, D read off G and the weights W each
+become integer coefficient lists over one common denominator
+(``linalg.ScaledMatrix``), the products and ``matpow.power_sum`` on either
+route stay in integers, and Rat comes back only when a corrected
+coefficient is added into G, once per coefficient.  G itself stays a
+matrix of Rat polynomials.
+
+The fold is local: R is nonzero only on the rows of G that reach an affected row and
 D only on the columns an affected column reaches (the K-hop balls around
 the batch), so the product is formed over those support rows and
 columns alone and added into them.  The new G and B replace only the
@@ -41,7 +48,7 @@ from .numerics import (
     truncate_to_bits,
 )
 from .poly import UniPoly
-from .linalg import PolyMatrix, RatMatrix
+from .linalg import PolyMatrix, RatMatrix, ScaledMatrix
 from . import matpow
 from .graph import DynGraph, EdgeBatch, lazy_transition, validate_and_apply
 from .oracle import exact_power_sum
@@ -278,6 +285,17 @@ def _updated_embedding(b: PolyMatrix, deltas) -> PolyMatrix:
     return b.with_rows(touched)
 
 
+def _folded(e: UniPoly, corr, den: int) -> UniPoly:
+    """e + corr/den for integer coefficients corr: one Rat per changed coefficient."""
+    coeffs = list(e.coeffs)
+    coeffs += [R0] * (len(corr) - len(coeffs))
+    for j, v in enumerate(corr):
+        if v:
+            a = coeffs[j]
+            coeffs[j] = Rat(a.numerator * den + v * a.denominator, a.denominator * den)
+    return UniPoly.of_rats(coeffs)
+
+
 def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     """Fold one gadget's correction into G and its deltas into B.
 
@@ -288,6 +306,14 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     zero correction, so the result is exact.  Rows of G outside S and
     rows of B without a delta are shared with the input state, never
     copied.
+
+    Rat leaves at the block reads: R, C, D and the weights W each become
+    integer coefficient lists over their own common denominator.  C*W,
+    the core power sum, W*x*core and R*P*D are integer products, the
+    denominators multiply alongside, and the correction is reduced to
+    its least common denominator.  Rat enters again in the fold, where
+    each changed coefficient of G becomes one Rat: old value plus
+    correction numerator over that denominator.
 
     The version token must match: gadgets encode which G their entries
     are meant to be read from, and applying against anything else would
@@ -305,19 +331,18 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     u_in, u_out = gadget.u_in, gadget.u_out
     support_rows = [s for s, row in enumerate(g) if any(row[u] for u in u_in)]
     support_cols = sorted({t for v in u_out for t, e in enumerate(g[v]) if e})
-    r_blk = PolyMatrix([[g[s][u] for u in u_in] for s in support_rows])
-    c_blk = PolyMatrix([[g[v][u] for u in u_in] for v in u_out])
-    d_blk = PolyMatrix([[g[v][t] for t in support_cols] for v in u_out])
-    w0 = PolyMatrix.from_rational(gadget.weights)
-    core_arg = c_blk.mul(w0, trunc=k)
+    r_blk = ScaledMatrix.of_polys([[g[s][u] for u in u_in] for s in support_rows])
+    c_blk = ScaledMatrix.of_polys([[g[v][u] for u in u_in] for v in u_out])
+    d_blk = ScaledMatrix.of_polys([[g[v][t] for t in support_cols] for v in u_out])
+    w0 = ScaledMatrix.of_polys(PolyMatrix.from_rational(gadget.weights).rows)
     core = matpow.power_sum(
-        core_arg,
+        c_blk.mul(w0, k),
         k,
         method="charpoly" if gadget.size > state.cascade_threshold else "direct",
     )
-    wx = w0.scale_poly(UniPoly.x(), trunc=k)
-    p_blk = wx.mul(core, trunc=k)
-    correction = r_blk.mul(p_blk, trunc=k).mul(d_blk, trunc=k)
+    p_blk = w0.times_x(k).mul(core, k)
+    correction = r_blk.mul(p_blk, k).mul(d_blk, k).reduced()
+    den = correction.den
     # an entry the correction cancels goes back to the shared zero, so the
     # count of live zero objects in G does not grow as the graph churns
     zero = UniPoly.zero()
@@ -326,7 +351,7 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
         row = list(g[s])
         for t, c in zip(support_cols, crow):
             if c:
-                row[t] = row[t] + c or zero
+                row[t] = _folded(row[t], c, den) or zero
         touched[s] = row
     new_g = state.G.with_rows(touched)
     new_b = _updated_embedding(state.B, gadget.deltas)

@@ -12,22 +12,29 @@ Three determinant routes live here:
 ``charpoly`` (built on ``det_poly``) serves the oracle's eigenvalue
 bracketer.  The power machinery in :mod:`dynwalk.matpow` takes none of
 these determinants, only the matrix containers: one fraction-free
-elimination per grid point yields det(I - zA) and all n^2 Cramer
+elimination per grid point yields det(I - uA) and all n^2 Cramer
 numerators at once, and the characteristic polynomial is the reversal of
-det(I - zA).
+det(I - uA).
+
+``ScaledMatrix`` is the integer working form of the dynamic layer and of
+the power machinery: integer entries, or integer coefficient lists, over
+one common denominator, so that a product costs integer multiplications
+only and no gcd.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .numerics import R0, R1, Rat
-from .poly import EvalGrid, UniPoly, interpolate
+from .poly import EvalGrid, IntPoly, UniPoly, interpolate
 
 __all__ = [
     "RatMatrix",
     "PolyMatrix",
+    "ScaledMatrix",
     "ModMatrix",
     "det_mod_p",
     "det_rational_crt",
@@ -197,7 +204,7 @@ class PolyMatrix:
                 raise ValueError(f"row {i} out of range")
             if len(row) != self.ncols:
                 raise ValueError("ragged matrix")
-            if not all(isinstance(e, UniPoly) for e in row):
+            if not all(map(isinstance, row, repeat(UniPoly))):
                 raise TypeError("row entries must be UniPoly")
             rows[i] = row
         out = PolyMatrix.__new__(PolyMatrix)
@@ -296,6 +303,135 @@ class PolyMatrix:
 
     def is_zero(self) -> bool:
         return all(not e for row in self.rows for e in row)
+
+
+class ScaledMatrix:
+    """A matrix of integers over one positive common denominator.
+
+    The exact matrix is rows / den.  A constant matrix holds ints (the
+    form a power table takes); a polynomial matrix holds IntPoly entries,
+    the zero entry being the empty IntPoly (the form the gadget products
+    and ``power_sum`` take).  Rationals enter through ``of_rats`` and
+    ``of_polys``, which clear one denominator for the whole block, and
+    leave through ``to_poly`` (or the dynamic layer's fold into G); every
+    product in between is integer arithmetic, and a product's denominator
+    is the product of its factors' denominators.
+    """
+
+    __slots__ = ("rows", "den")
+
+    def __init__(self, rows, den: int = 1):
+        self.rows = rows
+        self.den = den
+
+    @staticmethod
+    def of_rats(rows) -> "ScaledMatrix":
+        """Rows of rationals as ints over their common denominator."""
+        den = math.lcm(*(v.denominator for row in rows for v in row))
+        return ScaledMatrix(
+            [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
+        )
+
+    @staticmethod
+    def of_polys(rows) -> "ScaledMatrix":
+        """Rows of UniPoly as IntPoly entries over their common denominator."""
+        den = math.lcm(
+            *(c.denominator for row in rows for e in row for c in e.coeffs)
+        )
+        return ScaledMatrix(
+            [
+                [
+                    IntPoly([c.numerator * (den // c.denominator) for c in e.coeffs])
+                    for e in row
+                ]
+                for row in rows
+            ],
+            den,
+        )
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.rows[0]) if self.rows else 0
+
+    def to_poly(self) -> PolyMatrix:
+        """The PolyMatrix of a polynomial ScaledMatrix; zeros share one object."""
+        zero, den = UniPoly.zero(), self.den
+        return PolyMatrix(
+            [
+                [UniPoly([Rat(v, den) for v in e]) if e else zero for e in row]
+                for row in self.rows
+            ]
+        )
+
+    def times_x(self, trunc: int) -> "ScaledMatrix":
+        """x times a polynomial ScaledMatrix, cut mod x^(trunc+1)."""
+        return ScaledMatrix(
+            [[IntPoly((0, *e[:trunc])) if e else e for e in row] for row in self.rows],
+            self.den,
+        )
+
+    def mul(self, other: "ScaledMatrix", trunc: int) -> "ScaledMatrix":
+        """Polynomial matrix product with every entry cut mod x^(trunc+1)."""
+        if self.ncols != other.nrows:
+            raise ValueError("inner dimensions disagree")
+        top = trunc + 1
+        out = []
+        for arow in self.rows:
+            acc = [None] * other.ncols
+            for a, brow in zip(arow, other.rows):
+                if not a:
+                    continue
+                a = a[:top]
+                for t, b in enumerate(brow):
+                    if not b:
+                        continue
+                    c = acc[t]
+                    if c is None:
+                        c = acc[t] = [0] * top
+                    for i, ai in enumerate(a):
+                        if ai:
+                            for j, bj in enumerate(b[: top - i], i):
+                                c[j] += ai * bj
+            out.append([IntPoly(c) if c else _EMPTY for c in acc])
+        return ScaledMatrix(out, self.den * other.den)
+
+    def add(self, other: "ScaledMatrix") -> "ScaledMatrix":
+        """Polynomial matrix sum, over the lcm of the two denominators."""
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        rows = []
+        for ra, rb in zip(self.rows, other.rows):
+            row = []
+            for a, b in zip(ra, rb):
+                out = [fa * v for v in a] + [0] * (len(b) - len(a))
+                for i, v in enumerate(b):
+                    out[i] += fb * v
+                row.append(IntPoly(out))
+            rows.append(row)
+        return ScaledMatrix(rows, den)
+
+    def truncated(self, k: int) -> "ScaledMatrix":
+        return ScaledMatrix(
+            [[IntPoly(e[: k + 1]) for e in row] for row in self.rows], self.den
+        )
+
+    def reduced(self) -> "ScaledMatrix":
+        """The same matrix over the least common denominator of its entries."""
+        rows = self.rows
+        g = math.gcd(self.den, *(v for row in rows for e in row for v in e))
+        if g == 1:
+            return self
+        return ScaledMatrix(
+            [[IntPoly([v // g for v in e]) if e else e for e in row] for row in rows],
+            self.den // g,
+        )
+
+
+_EMPTY = IntPoly()
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,36 @@
 """Matrix powers through determinants, remainders, and interpolation.
 
-Two layers, the second reusing the first:
+Everything here runs on integer matrices over one common denominator
+(``linalg.ScaledMatrix``).  Two layers, the second reusing the first:
 
-* ``small_powers_via_series``: entries of A^0..A^m read off from the power
-  series expansion of (I - zA)^{-1}.  Each entry series is a Cramer ratio
-  adj(I - zA)[s, t] / det(I - zA); both polynomials are interpolated from
-  one fraction-free Gauss-Jordan elimination per grid point, and the
-  series is the adjugate entry times ``poly.series_inverse`` of the
-  determinant, never an explicit inverse of a polynomial matrix.
-* ``_grid_power_sum``: sum_i w_i(x) M(x)^i for a polynomial matrix, from
-  one power table per point of one rational grid.  A polynomial
-  sum_i w_i z^i of degree at least the dimension is first reduced modulo
-  the characteristic polynomial, the reversal of the table's det(I - zM),
-  so only powers below the dimension are formed.  ``power_large`` (one
-  power M(x)^k) and the cascade route of ``power_sum`` (the truncated
-  resolvent sum used by the dynamic layer) are both this one loop.
+* ``small_powers_via_series``: for an integer matrix A over a denominator
+  delta, the powers A^0..A^m read off from the power series expansion of
+  (I - uA)^{-1}, with u = z/delta.  Each entry series is a Cramer ratio
+  adj(I - uA)[s, t] / det(I - uA); both are integer polynomials in u,
+  interpolated from one fraction-free Gauss-Jordan elimination of the
+  integer matrix s^2 delta I - jA per grid point j, and the series is the
+  adjugate entry times the integer ``poly.series_inverse`` of the
+  determinant, whose constant term is one.  No step divides inexactly,
+  and (A/delta)^i = A^i / delta^i.
+* ``_grid_power_sum``: sum_l a x^b M(x)^l for a polynomial matrix
+  M = N/Delta, from one power table per point of one grid x_g = g/X.
+  There M(x_g) = A_g/delta with the integer matrix A_g = X^d N(g/X) and
+  delta = Delta X^d, the same at every point, so every point's value is
+  an integer matrix over one shared denominator and each entry is
+  interpolated once by ``poly.newton_ints``.  A polynomial of degree at
+  least the dimension is first reduced modulo the monic integer
+  characteristic polynomial of A_g, the reversal of the table's
+  det(I - uA_g), so only powers below the dimension are formed.
+  ``power_large`` (one power M(x)^k) and the cascade route of
+  ``power_sum`` (the truncated resolvent sum used by the dynamic layer)
+  are both this one loop.
+
+Rat enters and leaves only at the public edges: a RatMatrix or PolyMatrix
+argument is brought to integers over its common denominator once;
+``PowerTable`` indexing and ``det_series`` hand back Rat objects; and
+``power_large``, and ``power_sum`` given a PolyMatrix, return a
+PolyMatrix.  The dynamic layer hands ``power_sum`` a ScaledMatrix and
+gets one back, so its core power sum builds no Rat at all.
 
 ``power_sum`` brings any input within the magnitude preconditions of the
 charpoly route by an exact power-of-two prescale.  ``power_large`` and
@@ -28,11 +44,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import R0, Rat
-from .poly import UniPoly, divide_monic, EvalGrid, interpolate, series_inverse
+from .numerics import Rat
+from .poly import (
+    UniPoly,
+    IntPoly,
+    divide_monic,
+    EvalGrid,
+    interpolate,  # noqa: F401 - unused here; bench/layers.py traces matpow.interpolate
+    mul_mod_ints,
+    newton_ints,
+    series_inverse,
+)
 from .linalg import (
     PolyMatrix,
     RatMatrix,
+    ScaledMatrix,
     charpoly,  # noqa: F401 - unused here; bench/layers.py traces matpow.charpoly
     det_poly,  # noqa: F401 - unused here; bench/layers.py traces matpow.det_poly
 )
@@ -48,117 +74,137 @@ __all__ = [
 
 @dataclass
 class PowerTable:
-    """Matrix powers A^0 .. A^m, all exact, with det(I - zA).
+    """Powers of A/delta for an integer matrix A, with det(I - zA/delta).
 
-    ``det_series`` is the degree <= n polynomial det(I - zA) the powers
-    were solved from; its reversal of order n is the characteristic
-    polynomial det(zI - A).
+    Integers inside: ``powers[i]`` is the integer matrix A^i (rows of
+    ints), ``den`` is delta, and ``det`` is the IntPoly det(I - uA) in
+    u = z/delta, whose reversal of order n, ``charpoly()``, is the monic
+    integer characteristic polynomial det(wI - A).  Rat leaves only here:
+    indexing returns the RatMatrix (A/delta)^i, and ``det_series`` the
+    UniPoly det(I - zA/delta), whose reversal of order n is the
+    characteristic polynomial of A/delta.
     """
 
-    det_series: UniPoly
+    det: IntPoly
     powers: list
+    den: int
+
+    @property
+    def det_series(self) -> UniPoly:
+        return UniPoly([Rat(e, self.den**j) for j, e in enumerate(self.det)])
+
+    def charpoly(self) -> IntPoly:
+        n = len(self.powers[0])
+        return IntPoly((tuple(self.det) + (0,) * (n + 1 - len(self.det)))[::-1])
 
     def __getitem__(self, i: int) -> RatMatrix:
-        return self.powers[i]
+        scale = self.den**i
+        return RatMatrix.from_rat_rows(
+            [[Rat(v, scale) for v in row] for row in self.powers[i]]
+        )
 
     def __len__(self) -> int:
         return len(self.powers)
 
 
-def _det_and_adjugate(mat: RatMatrix):
-    """det(mat) and adj(mat) from one fraction-free Gauss-Jordan elimination.
+def _det_and_adjugate(a):
+    """det(a) and adj(a) of a square integer matrix, by one elimination.
 
-    The matrix is scaled to integers by its common denominator c and the
-    augmented [c*mat | I] is eliminated Bareiss-style: every division is
-    exact, and at the end the left block is det(c*mat) * I and the right
-    block is adj(c*mat).  No row exchanges are made, so every leading
-    principal minor must be nonzero; callers pass strictly diagonally
-    dominant matrices, for which that always holds.
+    The augmented [a | I] is eliminated fraction-free, Bareiss-style,
+    Gauss-Jordan: every division is exact, the last pivot is det(a) and
+    the right block ends as adj(a).  Step k reads only columns right of k,
+    so only those are updated.  No row exchanges are made, so every
+    leading principal minor must be nonzero; callers pass strictly
+    diagonally dominant matrices, for which that always holds.
     """
-    n = mat.nrows
-    c = math.lcm(*(v.denominator for row in mat.rows for v in row))
-    a = [
-        [v.numerator * (c // v.denominator) for v in row]
-        + [1 if j == i else 0 for j in range(n)]
-        for i, row in enumerate(mat.rows)
+    n = len(a)
+    aug = [
+        list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(a)
     ]
     prev = 1
     for k in range(n):
-        krow = a[k]
+        krow = aug[k]
         p = krow[k]
         if p == 0:
             raise AssertionError("zero pivot in a diagonally dominant matrix")
+        tail = krow[k + 1 :]
         for i in range(n):
-            if i == k:
-                continue
-            irow = a[i]
-            f = irow[k]
-            for j in range(2 * n):
-                irow[j] = (p * irow[j] - f * krow[j]) // prev
+            if i != k:
+                irow = aug[i]
+                f = irow[k]
+                irow[k + 1 :] = [
+                    (p * x - f * y) // prev for x, y in zip(irow[k + 1 :], tail)
+                ]
         prev = p
-    det = Rat(prev, c**n)
-    adj_den = c ** (n - 1)
-    adj = [[Rat(v, adj_den) for v in row[n:]] for row in a]
-    return det, adj
+    return prev, [row[n:] for row in aug]
 
 
-def small_powers_via_series(mat: RatMatrix, max_power: int) -> PowerTable:
+def small_powers_via_series(mat, max_power: int) -> PowerTable:
     """Entries of mat^0..mat^max_power via the resolvent series.
 
-    Preconditions: the matrix is square, max_power <= n, and every absolute
-    row sum is below one (strict contraction, so the resolvent series is
-    honest; raw transition matrices sit exactly at one and must be rescaled
-    or evaluated first).  For each entry (s, t) the series
-    (I - zA)^{-1}[s, t] equals the Cramer numerator adj(I - zA)[s, t]
-    divided by det(I - zA), whose constant term is det(I) = 1, so its
-    coefficients up to z^max_power, the walk sums A^i[s, t], are the
-    numerator times the truncated series inverse of the determinant.  Both
-    polynomials have degree at most n, so they are interpolated from the
-    n+1 points z_i = i/(3n)^2 of one grid, at each of which one elimination
-    yields the determinant and all n^2 Cramer numerators.  Every z_i is
-    below one, so I - z_i A is strictly diagonally dominant and invertible.
+    mat is a RatMatrix, or a ScaledMatrix of ints A over delta.
+    Preconditions: the matrix is square, max_power <= n, and every
+    absolute row sum is below one (strict contraction, so the resolvent
+    series is honest; raw transition matrices sit exactly at one and must
+    be rescaled or evaluated first).  For each entry (s, t) the series
+    (I - uA)^{-1}[s, t] equals the Cramer numerator adj(I - uA)[s, t]
+    divided by det(I - uA), whose constant term is det(I) = 1, so its
+    coefficients up to u^max_power, the integer walk sums A^i[s, t], are
+    the numerator times the truncated series inverse of the determinant.
+    Both are integer polynomials of degree at most n, interpolated from
+    the n+1 points z_j = j/(3n)^2 of one grid: there
+    (3n)^2 delta (I - z_j A/delta) = (3n)^2 delta I - jA is an integer
+    matrix, and one elimination of it yields its determinant and all n^2
+    adjugate entries, polynomials in j whose coefficients are those in u
+    times powers of (3n)^2 delta.  Every z_j is below one, so the matrix
+    is strictly diagonally dominant and invertible.
     """
-    if not mat.is_square:
+    if isinstance(mat, RatMatrix):
+        mat = ScaledMatrix.of_rats(mat.rows)
+    a, den = mat.rows, mat.den
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ValueError("power table needs a square matrix")
-    n = mat.nrows
     if n < 1:
         raise ValueError("empty matrix")
     if max_power > n:
         raise ValueError("max_power exceeds the dimension")
     if max_power < 0:
         raise ValueError("negative power")
-    for row in mat.rows:
-        if sum(abs(v) for v in row) >= 1:
+    for row in a:
+        if sum(map(abs, row)) >= den:
             raise ValueError(
                 "row sum reaches one; evaluate or rescale before powering"
             )
-    grid = EvalGrid(n + 1)
+    s2d = EvalGrid(n + 1).scale ** 2 * den
     dets, adjs = [], []
-    for z in grid.points:
-        resolvent = RatMatrix(
+    for j in range(n + 1):
+        det, adj = _det_and_adjugate(
             [
-                [(1 if i == j else 0) - z * a for j, a in enumerate(row)]
-                for i, row in enumerate(mat.rows)
+                [(s2d if s == t else 0) - j * v for t, v in enumerate(row)]
+                for s, row in enumerate(a)
             ]
         )
-        det, adj = _det_and_adjugate(resolvent)
         dets.append(det)
         adjs.append(adj)
-    d_series = interpolate(grid, dets)
-    if d_series[0] != 1:
+    # coefficient l in j of det (of adj) is n! s2d^(n-l) (n! s2d^(n-1-l))
+    # times coefficient l in u
+    fact = math.factorial(n)
+    unscale = [fact * s2d ** (n - l) for l in range(n + 1)]
+    d_series = IntPoly(p // q for p, q in zip(newton_ints(dets), unscale))
+    if d_series[:1] != (1,):
         raise AssertionError("det(I - zA) lost its unit constant term")
     inv = series_inverse(d_series, max_power)
-    powers = [RatMatrix.zeros(n, n) for _ in range(max_power + 1)]
+    powers = [[[0] * n for _ in range(n)] for _ in range(max_power + 1)]
     for s in range(n):
         for t in range(n):
-            numer = interpolate(grid, [adj[s][t] for adj in adjs])
-            series = numer.mul_mod_deg(inv, max_power)
-            for i in range(max_power + 1):
-                powers[i].rows[s][t] = series[i]
-    table = PowerTable(d_series, powers)
-    if table.powers[0] != RatMatrix.identity(n):
+            interpolated = newton_ints([adj[s][t] for adj in adjs])
+            numer = [p // q for p, q in zip(interpolated, unscale[1:])]
+            for i, v in enumerate(mul_mod_ints(numer, inv, max_power)):
+                powers[i][s][t] = v
+    if powers[0] != [[int(s == t) for t in range(n)] for s in range(n)]:
         raise AssertionError("zeroth power failed to come out as identity")
-    return table
+    return PowerTable(d_series, powers, den)
 
 
 def naive_power(mat: PolyMatrix, k: int) -> PolyMatrix:
@@ -171,40 +217,57 @@ def naive_power(mat: PolyMatrix, k: int) -> PolyMatrix:
     return out
 
 
-def _grid_power_sum(mat: PolyMatrix, poly_at, degree: int) -> PolyMatrix:
-    """sum_i w_i(x) mat(x)^i, interpolated from one grid of degree + 1 points.
+def _grid_power_sum(mat: ScaledMatrix, terms, degree: int) -> ScaledMatrix:
+    """sum of a x^b mat(x)^l over terms (l, a, b), from one grid of degree + 1 points.
 
-    poly_at(x) is p_x(z) = sum_i w_i(x) z^i, and degree bounds the degree
-    in x of every entry of the result.  At each point with p_x nonzero,
-    M_x = mat(x) gets one power table up to min(deg p_x, n-1).  When
-    deg p_x >= n, p_x is first reduced modulo the characteristic polynomial
-    chi_x, the reversal of the table's det(I - zM_x) = z^n chi_x(1/z):
-    by Cayley-Hamilton the remainder, of degree below n, takes the same
-    value at M_x.  Each entry is then interpolated once.
+    mat = N/Delta has IntPoly entries of degree at most d, the a are
+    integers, and degree bounds the degree in x of every entry of the
+    result.  On the grid x_g = g/X (X = scale^2) mat(x_g) = A_g/delta for
+    the integer matrix A_g = X^d N(g/X) and delta = Delta X^d.  With l*
+    and b* the largest exponents, the sum at x_g is q_g(A_g)/E for
+    E = X^b* delta^l* and the integer polynomial
+    q_g(w) = sum a g^b X^(b*-b) delta^(l*-l) w^l.  At each point with q_g
+    nonzero, A_g gets one power table up to min(deg q_g, n-1).  When
+    deg q_g >= n, q_g is first reduced modulo the monic integer
+    characteristic polynomial of A_g (by Cayley-Hamilton the remainder
+    takes the same value at A_g).  Every point's value is then an integer
+    matrix over the same E, so each entry is interpolated once: for P its
+    ``newton_ints``, the x^j coefficient is P_j X^j / ((m-1)! E).
     """
     n = mat.nrows
-    grid = EvalGrid(degree + 1)
+    m = degree + 1
+    x_den = EvalGrid(m).scale ** 2
+    d = max(max(len(e) for row in mat.rows for e in row) - 1, 0)
+    delta = mat.den * x_den**d
+    l_top = max(l for l, _, _ in terms)
+    b_top = max(b for _, _, b in terms)
     per_point = []
-    for x in grid.points:
-        p = poly_at(x)
-        terms = []
-        if p:
-            table = small_powers_via_series(mat.eval_at(x), min(p.degree, n - 1))
-            if p.degree >= n:
-                _, p = divide_monic(p, table.det_series.reversed_at(n))
-            terms = [(c, table[j].rows) for j, c in enumerate(p.coeffs) if c]
+    for g in range(m):
+        q = [0] * (l_top + 1)
+        for l, a, b in terms:
+            q[l] += a * g**b * x_den ** (b_top - b) * delta ** (l_top - l)
+        q = IntPoly(q)
+        if not q:
+            per_point.append(None)
+            continue
+        at_g = [g**j * x_den ** (d - j) for j in range(d + 1)]
+        a_g = [[sum(c * w for c, w in zip(e, at_g)) for e in row] for row in mat.rows]
+        table = small_powers_via_series(ScaledMatrix(a_g, delta), min(q.degree, n - 1))
+        if q.degree >= n:
+            _, q = divide_monic(q, table.charpoly())
+        terms_g = [(c, table.powers[j]) for j, c in enumerate(q) if c]
         per_point.append(
-            [
-                [sum((c * m[s][t] for c, m in terms), R0) for t in range(n)]
-                for s in range(n)
-            ]
+            [[sum(c * p[s][t] for c, p in terms_g) for t in range(n)] for s in range(n)]
         )
-    return PolyMatrix(
-        [
-            [interpolate(grid, [v[s][t] for v in per_point]) for t in range(n)]
-            for s in range(n)
-        ]
-    )
+    x_pows = [x_den**j for j in range(m)]
+    rows = []
+    for s in range(n):
+        row = []
+        for t in range(n):
+            interpolated = newton_ints([v[s][t] if v else 0 for v in per_point])
+            row.append(IntPoly(p * xp for p, xp in zip(interpolated, x_pows)))
+        rows.append(row)
+    return ScaledMatrix(rows, math.factorial(m - 1) * x_den**b_top * delta**l_top)
 
 
 def power_large(mat: PolyMatrix, k: int) -> PolyMatrix:
@@ -212,9 +275,10 @@ def power_large(mat: PolyMatrix, k: int) -> PolyMatrix:
 
     Preconditions: entries have degree at most d with constant terms of
     magnitude at most 1/(3n), and k >= 1.  This is ``_grid_power_sum`` of
-    p_x(z) = z^k on the d*k + 1 points x_i = i/(3dk)^2.  Contract errors
-    from the inner layers propagate: if an evaluated matrix violates the
-    small-power magnitude bound, that is the caller's instance to fix.
+    the single term z^k on the d*k + 1 points x_i = i/(3dk)^2.  Contract
+    errors from the inner layers propagate: if an evaluated matrix
+    violates the small-power magnitude bound, that is the caller's
+    instance to fix.
     """
     if not mat.is_square:
         raise ValueError("powering a non-square matrix")
@@ -223,66 +287,76 @@ def power_large(mat: PolyMatrix, k: int) -> PolyMatrix:
         raise ValueError("empty matrix")
     if k < 1:
         raise ValueError("power must be at least one")
-    cap = Rat(1, 3 * n)
-    for row in mat.rows:
+    scaled = ScaledMatrix.of_polys(mat.rows)
+    for row in scaled.rows:
         for e in row:
-            if abs(e[0]) > cap:
+            if e and abs(e[0]) * 3 * n > scaled.den:
                 raise ValueError(
                     "constant term exceeds 1/(3n); not an admissible instance"
                 )
-    z_to_k = UniPoly.monomial(1, k)
-    return _grid_power_sum(mat, lambda x: z_to_k, max(mat.max_degree, 0) * k)
+    degree = max(mat.max_degree, 0) * k
+    return _grid_power_sum(scaled, [(k, 1, 0)], degree).to_poly()
 
 
-def power_sum(mat: PolyMatrix, k: int, method: str = "direct") -> PolyMatrix:
+def _identity(n: int) -> ScaledMatrix:
+    one, zero = IntPoly((1,)), IntPoly()
+    return ScaledMatrix([[one if s == t else zero for t in range(n)] for s in range(n)])
+
+
+def power_sum(mat, k: int, method: str = "direct"):
     """I + (xM) + (xM)^2 + ... + (xM)^k with entries cut mod x^(k+1).
 
-    ``method="direct"`` accumulates successive truncated products and stops
-    early once a power vanishes under the truncation (each factor of xM
-    raises the minimum degree, so termination is certain).
-    ``method="charpoly"`` is the cascade path, selected by the dynamic
-    layer for oversized gadget cores.  Those carry walk sums and need not
-    meet ``power_large``'s magnitude preconditions, so M is first divided
-    by the least power of two c = 2^e with sum of |coefficients| <= c/(3n)
-    in every entry, which bounds every evaluation on [0, 1] by 1/(3n).
-    The terms i = 1..i_max that survive the truncation are then one
-    ``_grid_power_sum`` of p_x(z) = sum_i (c x z)^i over M/c, since
-    (c x)^i (M/c)(x)^i = x^i M(x)^i exactly; its entries have degree at
-    most (d+1) i_max and are cut mod x^(k+1).  Any input therefore gives
-    the same sum as the direct route.
+    M is a PolyMatrix, for which the answer is a PolyMatrix, or a
+    polynomial ScaledMatrix, for which it is a ScaledMatrix over the
+    least common denominator of its entries; both routes compute in
+    integers.  ``method="direct"`` accumulates successive truncated
+    products and stops early once a power vanishes under the truncation
+    (each factor of xM raises the minimum degree, so termination is
+    certain).  ``method="charpoly"`` is the cascade path, selected by the
+    dynamic layer for oversized gadget cores.  Those carry walk sums and
+    need not meet ``power_large``'s magnitude preconditions, so M is
+    first divided by the least power of two c = 2^e with sum of
+    |coefficients| <= c/(3n) in every entry, which bounds every
+    evaluation on [0, 1] by 1/(3n).  The terms i = 1..i_max that survive
+    the truncation are then one ``_grid_power_sum`` of the terms
+    (c x)^i z^i over M/c, since (c x)^i (M/c)(x)^i = x^i M(x)^i exactly;
+    its entries have degree at most (d+1) i_max and are cut mod x^(k+1).
+    Any input therefore gives the same sum as the direct route.
     """
-    if not mat.is_square:
-        raise ValueError("power sum of a non-square matrix")
+    if isinstance(mat, PolyMatrix):
+        return power_sum(ScaledMatrix.of_polys(mat.rows), k, method).to_poly()
     n = mat.nrows
+    if any(len(row) != n for row in mat.rows):
+        raise ValueError("power sum of a non-square matrix")
     if k < 0:
         raise ValueError("negative truncation")
-    total = PolyMatrix.identity(n)
-    if n == 0 or k == 0 or mat.is_zero():
+    total = _identity(n)
+    entries = [e for row in mat.rows for e in row if e]
+    if n == 0 or k == 0 or not entries:
         return total
     if method == "direct":
-        shifted = mat.scale_poly(UniPoly.x(), trunc=k)
+        shifted = mat.times_x(k)
         term = shifted
         i = 1
-        while i <= k and not term.is_zero():
+        while i <= k and any(e for row in term.rows for e in row):
             total = total.add(term)
             i += 1
             if i <= k:
-                term = term.mul(shifted, trunc=k)
-        return total
+                term = term.mul(shifted, k)
+        return total.reduced()
     if method == "charpoly":
-        entries = [e for row in mat.rows for e in row if e]
-        bound = max(sum((abs(c) for c in e.coeffs), R0) for e in entries)
+        bound = max(sum(map(abs, e)) for e in entries)
         c = 1
-        while bound * 3 * n > c:
+        while bound * 3 * n > c * mat.den:
             c *= 2
-        scaled = PolyMatrix([[e.scale(Rat(1, c)) for e in row] for row in mat.rows])
         # x^i M^i contributes nothing once the minimum entry degree pushes
         # every coefficient past the truncation
-        i_max = k // (1 + min(e.low_degree() for e in entries))
-
-        def poly_at(x):  # sum of (c x z)^i for i = 1..i_max
-            return UniPoly([R0] + [(c * x) ** i for i in range(1, i_max + 1)])
-
-        degree = (max(mat.max_degree, 0) + 1) * i_max
-        return total.add(_grid_power_sum(scaled, poly_at, degree).truncated(k))
+        low = min(next(j for j, v in enumerate(e) if v) for e in entries)
+        i_max = k // (1 + low)
+        if i_max == 0:
+            return total
+        degree = max(len(e) for e in entries) * i_max
+        terms = [(i, c**i, i) for i in range(1, i_max + 1)]
+        core = _grid_power_sum(ScaledMatrix(mat.rows, c * mat.den), terms, degree)
+        return total.add(core.truncated(k)).reduced()
     raise ValueError(f"unknown power_sum method {method!r}")

@@ -1,19 +1,27 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials over exact rationals and over integers.
 
 Everything here is exact.  Polynomials are immutable coefficient tuples in
 ascending order with no trailing zeros; the zero polynomial is the empty
-tuple and reports degree -1 (standing in for minus infinity).
+tuple and reports degree -1 (standing in for minus infinity).  ``UniPoly``
+holds Rat coefficients, ``IntPoly`` ints.
 
-The two nontrivial algorithms are:
+The nontrivial algorithms are integer kernels, which the power machinery
+calls directly, with thin Rat boundaries for everyone else:
 
-* ``interpolate``: exact reconstruction of the unique degree <= m polynomial
-  through the m+1 grid points.  The grid is equally spaced, so the Newton
-  form of the Vandermonde solve reduces to integer forward differences over
-  one common denominator, expanded in falling factorials (signed Stirling
-  numbers of the first kind) with a single division per coefficient.
+* ``newton_ints``: the unique degree < m polynomial through integer values
+  at t = 0..m-1, as integers over (m-1)!.  The points are equally spaced,
+  so the Newton form of the Vandermonde solve reduces to integer forward
+  differences expanded in falling factorials (signed Stirling numbers of
+  the first kind).  ``interpolate`` is its Rat boundary: it brings values
+  on a grid i/scale^2 to one common denominator and makes one Rat per
+  coefficient.
+* ``series_inverse``: the truncated power-series inverse of a polynomial
+  with constant term one, by its linear recurrence.  On an IntPoly it runs
+  in integers; a UniPoly is rescaled to an integer polynomial first.
 * ``divide_monic``: division with remainder by a monic polynomial through
-  coefficient reversal and ``series_inverse``, the truncated power-series
-  inverse of a polynomial with constant term one by its linear recurrence.
+  coefficient reversal and ``series_inverse``.  On IntPoly operands it
+  runs in integers; UniPoly operands are rescaled to integer ones and the
+  quotient and remainder rescaled back.
 """
 
 from __future__ import annotations
@@ -23,7 +31,16 @@ from dataclasses import dataclass
 
 from .numerics import R0, R1, Rat
 
-__all__ = ["UniPoly", "EvalGrid", "interpolate", "series_inverse", "divide_monic"]
+__all__ = [
+    "UniPoly",
+    "IntPoly",
+    "EvalGrid",
+    "interpolate",
+    "newton_ints",
+    "mul_mod_ints",
+    "series_inverse",
+    "divide_monic",
+]
 
 
 def _trim(coeffs):
@@ -31,6 +48,25 @@ def _trim(coeffs):
     while n and coeffs[n - 1] == 0:
         n -= 1
     return coeffs[:n]
+
+
+class IntPoly(tuple):
+    """A polynomial with integer coefficients: what the integer kernels pass.
+
+    An immutable tuple of ints in ascending order with no trailing zeros,
+    so ``degree`` is -1 for the zero polynomial as for UniPoly.
+    ``series_inverse`` and ``divide_monic`` take either kind and answer
+    in the kind they were given.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs=()):
+        return super().__new__(cls, _trim(list(coeffs)))
+
+    @property
+    def degree(self) -> int:
+        return len(self) - 1
 
 
 class UniPoly:
@@ -65,6 +101,17 @@ class UniPoly:
     @staticmethod
     def constant(c) -> "UniPoly":
         return UniPoly([Rat(c)])
+
+    @staticmethod
+    def of_rats(coeffs) -> "UniPoly":
+        """A polynomial over a list whose entries are all Rat already.
+
+        The entries are kept as they are, not coerced; trailing zeros are
+        trimmed as usual.
+        """
+        p = UniPoly.__new__(UniPoly)
+        p.coeffs = tuple(_trim(coeffs))
+        return p
 
     # -- structure ----------------------------------------------------
 
@@ -235,16 +282,10 @@ class EvalGrid:
 def interpolate(grid: EvalGrid, values) -> UniPoly:
     """The unique polynomial of degree < grid.count through the grid values.
 
-    The Newton form of the grid's Vandermonde solve, in integers.  With
-    points x_i = i*h, h = 1/scale**2, write t = x/h; then
-
-        p(x) = sum_k (Delta^k v_0 / k!) * t(t-1)...(t-k+1).
-
-    Values are brought to integers over their common denominator D, the
-    forward differences Delta^k are taken in integers, and the falling
-    factorials are expanded by Horner's rule in t (their coefficients are
-    the signed Stirling numbers of the first kind) after scaling by
-    (m-1)! so that every term stays integral.  Coefficient j is then one
+    The Rat boundary of ``newton_ints``.  With points x_i = i*h,
+    h = 1/scale**2, write t = x/h.  The values are brought to integers
+    over their common denominator D, and ``newton_ints`` gives integers
+    P_j with D*p(x) = sum_j P_j t^j / (m-1)!, so coefficient j is one
     rational: P_j * scale**(2j) / (D * (m-1)!).
     """
     values = [Rat(v) for v in values]
@@ -252,8 +293,34 @@ def interpolate(grid: EvalGrid, values) -> UniPoly:
     if len(values) != m:
         raise ValueError(f"expected {m} values on the grid, got {len(values)}")
     den = math.lcm(*(v.denominator for v in values))
-    diffs = [v.numerator * (den // v.denominator) for v in values]
-    # leading[k] = Delta^k v_0 * (m-1)!/k!, all integers
+    acc = newton_ints([v.numerator * (den // v.denominator) for v in values])
+    total_den = den * math.factorial(m - 1)
+    s2 = grid.scale * grid.scale
+    coeffs = []
+    step = 1
+    for c in acc:
+        coeffs.append(Rat(c * step, total_den))
+        step *= s2
+    return UniPoly(coeffs)
+
+
+def newton_ints(values) -> list:
+    """Integers P with p(t) = sum_j P[j] t^j / (m-1)! through values at t = 0..m-1.
+
+    values are the m integers p(0), ..., p(m-1).  In Newton form
+
+        p(t) = sum_k (Delta^k p(0) / k!) * t(t-1)...(t-k+1),
+
+    the forward differences Delta^k are integers, and scaling by (m-1)!
+    makes every term integral.  The falling factorials are expanded by
+    Horner's rule in t (their coefficients are the signed Stirling
+    numbers of the first kind), so no step divides.  The list has m
+    entries; a polynomial with integer coefficients has P[j] divisible
+    by (m-1)!.
+    """
+    m = len(values)
+    diffs = list(values)
+    # leading[k] = Delta^k p(0) * (m-1)!/k!, all integers
     leading = [0] * m
     fact = 1  # (m-1)!/k!, built from k = m-1 down
     for k in range(m - 1, -1, -1):
@@ -270,47 +337,92 @@ def interpolate(grid: EvalGrid, values) -> UniPoly:
             nxt.append(acc[i - 1] - k * acc[i])
         nxt.append(acc[-1])
         acc = nxt
-    total_den = den * math.factorial(m - 1)
-    s2 = grid.scale * grid.scale
-    coeffs = []
-    step = 1
-    for c in acc:
-        coeffs.append(Rat(c * step, total_den))
-        step *= s2
-    return UniPoly(coeffs)
+    return acc
 
 
-def series_inverse(f: UniPoly, j: int) -> UniPoly:
+def mul_mod_ints(a, b, k: int) -> list:
+    """Integer coefficients of a*b mod x^(k+1), for integer sequences a, b.
+
+    The list has min(len(a) + len(b) - 2, k) + 1 entries and may end in
+    zeros; empty when either factor is.
+    """
+    top = min(len(a) + len(b) - 2, k)
+    if top < 0:
+        return []
+    out = [0] * (top + 1)
+    for i, ai in enumerate(a[: top + 1]):
+        if ai:
+            for j, bj in enumerate(b[: top + 1 - i]):
+                out[i + j] += ai * bj
+    return out
+
+
+def series_inverse(f, j: int):
     """The power series 1/f truncated to degree j, for f with f[0] == 1.
 
-    The unit constant term makes the inverse a linear recurrence of order
-    m = deg f: inv[0] = 1 and inv[i] = -sum_{l=1..min(i,m)} f[l] * inv[i-l],
-    at O(jm) cost and with no division.
+    For an IntPoly the unit constant term makes the inverse a linear
+    recurrence of order m = deg f: inv[0] = 1 and
+    inv[i] = -sum_{l=1..min(i,m)} f[l] * inv[i-l], at O(jm) cost, in
+    integers and with no division.  A UniPoly is the Rat boundary: with D
+    the common denominator of f, f(Dw) = sum_l f[l] D^l w^l is an integer
+    polynomial with constant term one, and 1/f(z) = sum_i inv[i] z^i / D^i
+    for inv its inverse.
     """
-    if f[0] != 1:
+    if isinstance(f, UniPoly):
+        if f[0] != 1:
+            raise ValueError("series inverse needs constant term one")
+        den = math.lcm(*(c.denominator for c in f.coeffs))
+        scaled = [c.numerator * den**l // c.denominator for l, c in enumerate(f.coeffs)]
+        inv = series_inverse(IntPoly(scaled), j)
+        return UniPoly([Rat(v, den**i) for i, v in enumerate(inv)])
+    if f[:1] != (1,):
         raise ValueError("series inverse needs constant term one")
-    fc = f.coeffs
     m = f.degree
-    inv = [R1]
+    inv = [1]
     for i in range(1, j + 1):
-        acc = R0
+        acc = 0
         for l in range(1, min(i, m) + 1):
-            acc -= fc[l] * inv[i - l]
+            acc -= f[l] * inv[i - l]
         inv.append(acc)
-    return UniPoly(inv)
+    return IntPoly(inv)
 
 
-def divide_monic(g: UniPoly, f: UniPoly):
+def divide_monic(g, f):
     """Quotient and remainder of g by monic f, with deg r < deg f.
 
-    f must be monic and deg g >= deg f >= 1; g need not be monic.  The
-    quotient is found by reversing coefficients: the reversed quotient is
-    the reversed dividend times the series inverse of the reversed divisor
-    f_R, truncated at degree j = deg g - deg f.  f_R has constant term one
-    because f is monic, so ``series_inverse`` applies; the remainder falls
-    out as g - q*f.
+    f must be monic and deg g >= deg f >= 1; g need not be monic.  For
+    IntPoly operands the quotient is found by reversing coefficients: the
+    reversed quotient is the reversed dividend times the series inverse
+    of the reversed divisor f_R, truncated at degree j = deg g - deg f.
+    f_R has constant term one because f is monic, so ``series_inverse``
+    applies, and every step stays in integers; the remainder falls out as
+    g - q*f.
+
+    UniPoly operands are the Rat boundary.  With D and E the common
+    denominators of f and g, f~(w) = D^m f(w/D) is a monic integer
+    polynomial and g~(w) = E D^n g(w/D) an integer one (m, n the
+    degrees).  Dividing g~ by f~ in integers gives q~ and r~, and
+    q[l] = q~[l] / (E D^(n-m-l)), r[l] = r~[l] / (E D^(n-l)).
     """
-    if not f.is_monic():
+    if isinstance(f, UniPoly):
+        if not f.is_monic():
+            raise ValueError("divide_monic needs a monic divisor")
+        m, n = f.degree, g.degree
+        df = math.lcm(*(c.denominator for c in f.coeffs))
+        eg = math.lcm(*(c.denominator for c in g.coeffs))
+        fi = IntPoly(
+            c.numerator * df ** (m - l) // c.denominator for l, c in enumerate(f.coeffs)
+        )
+        gi = IntPoly(
+            c.numerator * (eg // c.denominator) * df ** (n - l)
+            for l, c in enumerate(g.coeffs)
+        )
+        q, r = divide_monic(gi, fi)
+        return (
+            UniPoly([Rat(v, eg * df ** (n - m - l)) for l, v in enumerate(q)]),
+            UniPoly([Rat(v, eg * df ** (n - l)) for l, v in enumerate(r)]),
+        )
+    if f[-1:] != (1,):
         raise ValueError("divide_monic needs a monic divisor")
     n, m = g.degree, f.degree
     if m < 1:
@@ -318,9 +430,14 @@ def divide_monic(g: UniPoly, f: UniPoly):
     if n < m:
         raise ValueError("dividend degree below divisor degree")
     j = n - m
-    q_rev = series_inverse(f.reversed_at(m), j).mul_mod_deg(g.reversed_at(n), j)
-    q = UniPoly([q_rev[j - i] for i in range(j + 1)])
-    r = g - q * f
+    q_rev = mul_mod_ints(series_inverse(IntPoly(f[::-1]), j), g[::-1], j)
+    q = q_rev[::-1]
+    r = list(g)
+    for a, qa in enumerate(q):
+        if qa:
+            for b, fb in enumerate(f):
+                r[a + b] -= qa * fb
+    r = IntPoly(r)
     if r.degree >= m:
         raise AssertionError("division produced an oversized remainder")
-    return q, r
+    return IntPoly(q), r

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dynwalk
+from dynwalk import dyncore
 from dynwalk.cli import main, run_script, run_selftest
 
 
@@ -247,6 +248,35 @@ def test_transcripts_are_deterministic():
     assert run_script(script).text == run_script(script).text
 
 
+def _raise_zero_pivot(state, gadget):
+    raise AssertionError("zero pivot in a diagonally dominant matrix")
+
+
+def test_internal_error_stops_the_script_with_exit_code_3(monkeypatch):
+    monkeypatch.setattr(dyncore, "apply_gadget", _raise_zero_pivot)
+    t = run_script(
+        "init n=4 d=2 ell=1\n"
+        "flarble\n"
+        "batch +(0,1)\n"
+        "query expansion\n"
+    )
+    assert t.lines == (
+        "parse error at line 2: unknown command 'flarble'",
+        "internal error at line 3: zero pivot in a diagonally dominant matrix",
+    )
+    assert t.parse_errors == 1 and t.internal_error
+    assert t.exit_code == 3
+
+
+def test_main_exits_3_on_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(dyncore, "apply_gadget", _raise_zero_pivot)
+    monkeypatch.setattr("sys.stdin", io.StringIO("init n=2 d=1 ell=1\nbatch +(0,1)\n"))
+    assert main(["run"]) == 3
+    assert capsys.readouterr().out == (
+        "internal error at line 2: zero pivot in a diagonally dominant matrix\n"
+    )
+
+
 # -- selftest and entry point ------------------------------------------------------------
 
 
@@ -305,6 +335,7 @@ def test_main_reads_stdin_by_default(monkeypatch, capsys):
     [
         ["muddle_trace.py", "--steps", "5"],
         ["expansion_demo.py", "--family", "cycle", "--n", "6", "--max-ell", "2"],
+        ["apply_vs_rebuild.py", "--n", "8", "--k", "2", "4", "--batches", "1", "--warmup", "1"],
     ],
 )
 def test_scripts_run(argv):

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from dynwalk import matpow
 from dynwalk.numerics import BudgetExhausted, Rat, pow2, rat, truncate_to_bits
 from dynwalk.poly import UniPoly
 from dynwalk.linalg import PolyMatrix, RatMatrix
@@ -395,6 +396,36 @@ def test_cascade_route_agrees_with_direct():
     cascaded = apply_batch(state_from_graph(g, 8, cascade_threshold=1), b)
     assert direct.G == cascaded.G
     assert direct.G == exact_power_sum(direct.B, 8)
+
+
+@pytest.mark.parametrize("mode,bits", [("exact", None), ("bits", 64)])
+def test_cascade_reduces_by_the_charpoly_on_the_dynamic_route(monkeypatch, mode, bits):
+    """One edge change per batch gives cores of dimension |u_out| = 2, and
+    K = 6 gives i_max = 3 (every core entry has minimum degree one), so
+    every cascade point divides by a degree-2 characteristic polynomial."""
+    degrees = []
+    real_divide = matpow.divide_monic
+
+    def counting_divide(g, f):
+        degrees.append(f.degree)
+        return real_divide(g, f)
+
+    monkeypatch.setattr(matpow, "divide_monic", counting_divide)
+    k = 6
+    st = initial_state(5, 2, k, mode=mode, bits=bits, cascade_threshold=0)
+    for op in (("insert", 0, 1), ("insert", 1, 2), ("delete", 0, 1), ("insert", 3, 4)):
+        st = apply_batch(st, batch(op))
+        want = exact_power_sum(
+            bipartite_embed(PolyMatrix.from_rational(lazy_transition(st.graph))), k
+        )
+        if mode == "exact":
+            assert st.G == want
+            continue
+        bound = pow2(-(bits - st.budget.bits_spent - 2))
+        for row_g, row_w in zip(st.G.rows, want.rows):
+            for e, w in zip(row_g, row_w):
+                assert all(abs(e[j] - w[j]) <= bound for j in range(k + 1))
+    assert degrees and set(degrees) == {2}
 
 
 # -- bits mode ------------------------------------------------------------------------------

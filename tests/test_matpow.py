@@ -3,18 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from dynwalk import linalg, matpow
 from dynwalk.numerics import Rat, rat
 from dynwalk.poly import UniPoly
-from dynwalk.linalg import PolyMatrix, RatMatrix, det_poly
+from dynwalk.linalg import PolyMatrix, RatMatrix, ScaledMatrix, det_poly
 from dynwalk.matpow import (
     naive_power,
     power_large,
     power_sum,
     small_powers_via_series,
 )
-from dynwalk.oracle import exact_power_sum
+from dynwalk.oracle import det_bareiss, exact_power_sum
 from dynwalk.graph import DynGraph, lazy_transition
 from dynwalk.dyncore import apply_batch, bipartite_embed, state_from_graph
 
@@ -318,3 +319,92 @@ def test_cascade_takes_no_crt_determinant(monkeypatch):
     st = apply_batch(st, b)
     b = bipartite_embed(PolyMatrix.from_rational(lazy_transition(st.graph)))
     assert st.G == exact_power_sum(b, 4)
+
+
+# -- the integer kernels, against Rat references -------------------------------------
+
+
+@settings(deadline=None, max_examples=60)
+@given(hst.integers(1, 6), hst.data())
+def test_integer_det_and_adjugate_match_bareiss(n, data):
+    """Strictly diagonally dominant integer matrices, as the power tables
+    eliminate: the determinant is the oracle's, and adj * M = det * I."""
+    off = hst.integers(-(2**40), 2**40)
+    rows = [data.draw(hst.lists(off, min_size=n, max_size=n)) for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = data.draw(hst.sampled_from([-1, 1])) * (
+            sum(abs(v) for j, v in enumerate(row) if j != i) + data.draw(hst.integers(1, 2**40))
+        )
+    det, adj = matpow._det_and_adjugate(rows)
+    assert det == det_bareiss(RatMatrix(rows))
+    prod = RatMatrix(adj).mul(RatMatrix(rows))
+    assert prod == RatMatrix([[det if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+@settings(deadline=None, max_examples=40)
+@given(hst.integers(1, 5), hst.data())
+def test_integer_power_table_matches_rational_powers(n, data):
+    den = data.draw(hst.sampled_from([7, 360, 2**64]))
+    cap = den // (n + 1)
+    a = [data.draw(hst.lists(hst.integers(-cap, cap), min_size=n, max_size=n)) for _ in range(n)]
+    table = small_powers_via_series(ScaledMatrix(a, den), n)
+    m = RatMatrix([[Rat(v, den) for v in row] for row in a])
+    power = RatMatrix.identity(n)
+    for i in range(n + 1):
+        assert table[i] == power
+        assert table.powers[i] == [[v * den**i for v in row] for row in power.rows]
+        power = power.mul(m)
+    assert table.det_series.reversed_at(n) == linalg.charpoly(m)
+
+
+def _poly_matrix_over(data, size, deg, den):
+    num = hst.integers(-(2**64), 2**64)
+    return PolyMatrix(
+        [
+            [
+                UniPoly([Rat(v, den) for v in data.draw(hst.lists(num, min_size=0, max_size=deg + 1))])
+                for _ in range(size)
+            ]
+            for _ in range(size)
+        ]
+    )
+
+
+@settings(deadline=None, max_examples=25)
+@given(hst.integers(1, 3), hst.integers(0, 2), hst.integers(1, 6), hst.data())
+def test_power_sum_routes_agree_on_2_64_denominators(size, deg, k, data):
+    """Cores whose coefficients sit over 2^64, the shape a bits-mode G
+    feeds the gadget: the charpoly route equals the direct route, and both
+    equal the oracle's Rat Horner sum."""
+    m = _poly_matrix_over(data, size, deg, 2**64)
+    want = exact_power_sum(m, k)
+    assert power_sum(m, k, method="charpoly") == want
+    assert power_sum(m, k, method="direct") == want
+    scaled = power_sum(ScaledMatrix.of_polys(m.rows), k, method="charpoly")
+    assert scaled.to_poly() == want
+
+
+@settings(deadline=None, max_examples=40)
+@given(hst.integers(1, 4), hst.integers(1, 4), hst.integers(1, 4), hst.integers(0, 5), hst.data())
+def test_scaled_products_match_poly_products(r, inner, c, k, data):
+    num = hst.integers(-(2**40), 2**40)
+    den = data.draw(hst.sampled_from([1, 6, 2**64]))
+
+    def block(nr, nc):
+        return PolyMatrix(
+            [
+                [
+                    UniPoly([Rat(v, den) for v in data.draw(hst.lists(num, max_size=k + 2))])
+                    for _ in range(nc)
+                ]
+                for _ in range(nr)
+            ]
+        )
+
+    a, b = block(r, inner), block(inner, c)
+    sa, sb = ScaledMatrix.of_polys(a.rows), ScaledMatrix.of_polys(b.rows)
+    assert sa.mul(sb, k).to_poly() == a.mul(b, trunc=k)
+    assert sa.mul(sb, k).reduced().to_poly() == a.mul(b, trunc=k)
+    b2 = block(r, inner)
+    assert sa.add(ScaledMatrix.of_polys(b2.rows)).to_poly() == a.add(b2)
+    assert sa.times_x(k).to_poly() == a.scale_poly(UniPoly.x(), trunc=k)

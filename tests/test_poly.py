@@ -1,12 +1,22 @@
 """Truncated polynomial arithmetic, interpolation, monic division."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynwalk.numerics import Rat, pow2, rat, truncate_to_bits
-from dynwalk.poly import EvalGrid, UniPoly, divide_monic, interpolate, series_inverse
+from dynwalk.poly import (
+    EvalGrid,
+    IntPoly,
+    UniPoly,
+    divide_monic,
+    interpolate,
+    mul_mod_ints,
+    newton_ints,
+    series_inverse,
+)
 
 from conftest import vandermonde_inverse_norm
 
@@ -279,3 +289,61 @@ def test_spread_out_grid_has_unit_inverse_norm():
     for deg in (1, 2, 4, 8, 12):
         pts = [Rat(i * (3 * deg) ** 2) for i in range(deg + 1)]
         assert vandermonde_inverse_norm(pts) == 1
+
+
+# -- the integer kernels, against UniPoly references --------------------------------
+
+int_coeffs = st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(int_coeffs)
+def test_newton_ints_roundtrip(coeffs):
+    """Integer values of an integer polynomial at t = 0..m-1 give back its
+    coefficients times (m-1)!."""
+    p = UniPoly(coeffs)
+    m = len(coeffs)
+    values = [int(p.eval(t)) for t in range(m)]
+    fact = math.factorial(m - 1)
+    got = newton_ints(values)
+    assert len(got) == m
+    assert got == [fact * Rat(c) for c in coeffs]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.integers(-(2**64), 2**64), min_size=1, max_size=12),
+    st.sampled_from([1, 7, 360, 2**64, 3 * 2**64]),
+)
+def test_interpolate_roundtrip_over_a_shared_denominator(nums, den):
+    """Values over one denominator, up to 2^64 as bits-mode G carries, come
+    back as the polynomial they were evaluated from."""
+    p = UniPoly([Rat(v, den) for v in nums])
+    grid = EvalGrid(len(nums))
+    assert interpolate(grid, [p.eval(x) for x in grid.points]) == p
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(-(2**40), 2**40), min_size=0, max_size=10), st.integers(0, 16))
+def test_integer_series_inverse_inverts(tail, j):
+    f = IntPoly([1] + tail)
+    inv = series_inverse(f, j)
+    assert type(inv) is IntPoly
+    assert UniPoly(inv).mul_mod_deg(UniPoly(f), j) == UniPoly.one()
+    assert mul_mod_ints(inv, f, j)[:1] == [1]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=6),
+    st.lists(st.integers(-(2**40), 2**40), min_size=0, max_size=10),
+)
+def test_integer_division_matches_rational_division(fc, extra):
+    f = IntPoly(fc + [1])
+    g = IntPoly(fc + extra + [3])
+    q, r = divide_monic(g, f)
+    assert type(q) is IntPoly and type(r) is IntPoly
+    uq, ur = divide_monic(UniPoly(g), UniPoly(f))
+    assert (UniPoly(q), UniPoly(r)) == (uq, ur)
+    assert UniPoly(q) * UniPoly(f) + UniPoly(r) == UniPoly(g)
+    assert r.degree < f.degree
