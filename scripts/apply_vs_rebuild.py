@@ -6,7 +6,9 @@ bound d, then applies churn batches of one delete plus one insert
 (on four distinct vertices, so the edge count never moves).  After the
 warm-up batches it records the CPU time of each ``apply_batch`` and of
 ``state_from_graph`` on the same graph, and prints the medians and
-their ratio (below one means the incremental path wins).
+their ratio (below one means the incremental path wins).  Outside the
+timers, every rebuilt state's G is compared with the folded state's;
+on a mismatch the script names the (n, K) point and exits with 1.
 
     python3 scripts/apply_vs_rebuild.py
     python3 scripts/apply_vs_rebuild.py --n 12 --k 4 --batches 2 --warmup 1
@@ -69,7 +71,10 @@ def cpu_ms(fn, *args):
 
 
 def sweep_point(n: int, d: int, k: int, batches: int, warmup: int, seed: int):
-    """(median apply ms, median rebuild ms) over the timed batches."""
+    """(median apply ms, median rebuild ms) over the timed batches.
+
+    Exits with 1 if a folded state differs from its rebuild.
+    """
     rng = random.Random(seed)
     edges = seeded_graph(n, d, rng)
     state = state_from_graph(DynGraph(n, d, set(edges)), k)
@@ -78,7 +83,10 @@ def sweep_point(n: int, d: int, k: int, batches: int, warmup: int, seed: int):
         state, ms = cpu_ms(apply_batch, state, churn_batch(edges, n, d, rng))
         if i >= warmup:
             applies.append(ms)
-            rebuilds.append(cpu_ms(state_from_graph, state.graph, k)[1])
+            rebuilt, ms = cpu_ms(state_from_graph, state.graph, k)
+            rebuilds.append(ms)
+            if rebuilt.G != state.G:
+                sys.exit(f"error: n={n} K={k}: folded G differs from the rebuild at batch {i + 1}")
     return statistics.median(applies), statistics.median(rebuilds)
 
 

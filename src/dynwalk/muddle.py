@@ -130,7 +130,7 @@ class MuddleTimeline:
             bits=config.bits,
             budget=PrecisionBudget(config.bits),
         )
-        # (shadow G, its truncation) at the latest delivery, so the next
+        # (shadow F, its truncation) at the latest delivery, so the next
         # delivery rounds only the entries the shadow has changed since
         self._delivered = None
         self.jobs: list = [MuddleJob(0)]
@@ -143,8 +143,8 @@ class MuddleTimeline:
         b = self.config.bits
         budget = PrecisionBudget(b)
         budget.spend(1)
-        g = truncate_rows(shadow.G, b, *(self._delivered or ()))
-        return replace(shadow, mode="bits", bits=b, G=g, budget=budget)
+        f = truncate_rows(shadow.F, b, *(self._delivered or ()))
+        return replace(shadow, mode="bits", bits=b, F=f, budget=budget)
 
     # -- the public surface ---------------------------------------------
 
@@ -184,7 +184,7 @@ class MuddleTimeline:
             self.served = apply_batch(self.served, batch)
         else:
             self.served = self._deliver(shadow)
-            self._delivered = (shadow.G, self.served.G)
+            self._delivered = (shadow.F, self.served.F)
         self.shadow = shadow
         self.clock = clock
         for job, backlog in zip(self.jobs, backlogs):

@@ -335,7 +335,7 @@ def test_main_reads_stdin_by_default(monkeypatch, capsys):
     [
         ["muddle_trace.py", "--steps", "5"],
         ["expansion_demo.py", "--family", "cycle", "--n", "6", "--max-ell", "2"],
-        ["apply_vs_rebuild.py", "--n", "8", "--k", "2", "4", "--batches", "1", "--warmup", "1"],
+        ["apply_vs_rebuild.py", "--n", "8", "--k", "3", "4", "--batches", "2", "--warmup", "0"],
     ],
 )
 def test_scripts_run(argv):

@@ -1,5 +1,6 @@
 """The dynamic maintenance core: gadgets, batches, readout."""
 
+import dataclasses
 import random
 
 import pytest
@@ -18,8 +19,12 @@ from dynwalk.graph import (
     validate_and_apply,
 )
 from dynwalk.oracle import exact_power_sum, walk_count_dp
+from dynwalk.expander import TesterConfig, expansion_query
+from dynwalk.muddle import MuddleConfig, MuddleTimeline
 from dynwalk.dyncore import (
+    DEFAULT_CASCADE_THRESHOLD,
     DeltaGadget,
+    DynState,
     StaleGadgetError,
     apply_batch,
     apply_entry_deltas,
@@ -32,7 +37,7 @@ from dynwalk.dyncore import (
     state_from_matrix,
 )
 
-from conftest import random_batch, random_graph
+from conftest import rand_rat, random_batch, random_graph
 
 
 def batch(*ops):
@@ -464,6 +469,38 @@ def test_bits_budget_eventually_refuses():
     assert st2.budget.bits_spent == 2
 
 
+# -- what the state stores --------------------------------------------------------------------
+
+
+def _no_g_view(self):
+    raise AssertionError("the 2n x 2n G view was built on the update or query path")
+
+
+def test_state_stores_only_the_half_size_f(monkeypatch):
+    assert "G" not in {f.name for f in dataclasses.fields(DynState)}
+    for k in range(1, 7):
+        st = state_from_matrix(RatMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), k)
+        assert (st.F.nrows, st.F.ncols) == (3, 3)
+        # the 3-cycle has T^j != 0 for every j, so the bound is reached
+        assert st.F.max_degree == (k + 1) // 2
+    monkeypatch.setattr(DynState, "G", property(_no_g_view))
+    n, k = 6, 5
+    cfg = TesterConfig(Rat(1, 2), 2, 1)
+    for mode, bits in (("exact", None), ("bits", 48)):
+        st = initial_state(n, 2, k, mode=mode, bits=bits)
+        for ops in ((("insert", 0, 1), ("insert", 2, 3)), (("delete", 0, 1), ("insert", 1, 2))):
+            st = apply_batch(st, batch(*ops))
+            expansion_query(st, cfg)
+            read_power_entry(st, 1, 2, k // 2)
+            assert (st.F.nrows, st.F.ncols) == (n, n)
+            assert st.F.max_degree <= (k + 1) // 2
+    tl = MuddleTimeline(MuddleConfig(n, 2, k, 2, 32))
+    for u, v in ((0, 1), (1, 2), (0, 1), (3, 4), (2, 3)):
+        present = tl.served.graph.has_edge(u, v)
+        tl.step(batch(("delete" if present else "insert", u, v)))
+        assert tl.served.F.max_degree <= (k + 1) // 2
+
+
 # -- snapshots share untouched rows ----------------------------------------------------------
 
 
@@ -472,29 +509,29 @@ def test_update_shares_untouched_rows_and_leaves_the_old_snapshot_valid():
     n, k = 12, 4
     path = {(i, i + 1) for i in range(7)} | {(8, 9), (9, 10), (10, 11)}
     old = state_from_graph(DynGraph(n, 2, frozenset(path)), k)
-    g_before = [list(r) for r in old.G.rows]
+    f_before = [list(r) for r in old.F.rows]
     b_before = [list(r) for r in old.B.rows]
     new = apply_batch(old, batch(("delete", 1, 2), ("insert", 0, 2)))
     assert new.G == fresh_oracle(new)
-    assert [list(r) for r in old.G.rows] == g_before
+    assert [list(r) for r in old.F.rows] == f_before
     assert [list(r) for r in old.B.rows] == b_before
     assert old.G == fresh_oracle(old)
-    # the batch touches vertices 0, 1, 2; walks of length <= K in the
-    # embedding cover K/2 = 2 graph hops, so vertices 5..11 are outside
-    # the ball in both copies and their rows must be shared, not copied
+    # the batch touches vertices 0, 1, 2; F holds powers of T up to
+    # ceil(K/2) = 2, so vertices 5..11 are outside the 2-hop ball and
+    # their rows of F (and both copies' rows of B) must be shared, not copied
     for v in range(5, n):
+        assert new.F.rows[v] is old.F.rows[v]
         for s in (v, n + v):
-            assert new.G.rows[s] is old.G.rows[s]
             assert new.B.rows[s] is old.B.rows[s]
     # rows the batch touched are new lists; the old ones stay as they were
     for v in (0, 1, 2):
-        assert new.G.rows[v] != g_before[v]
-        assert new.G.rows[v] is not old.G.rows[v]
+        assert new.F.rows[v] != f_before[v]
+        assert new.F.rows[v] is not old.F.rows[v]
         assert new.B.rows[v] is not old.B.rows[v]
 
 
 def test_zero_entries_share_one_object_as_the_graph_churns():
-    # deletions cancel entries of G and B; each must go back to the shared
+    # deletions cancel entries of F and B; each must go back to the shared
     # zero polynomial rather than leave a fresh zero object behind
     n, k = 12, 4
     path = {(i, i + 1) for i in range(n - 1)}
@@ -507,7 +544,7 @@ def test_zero_entries_share_one_object_as_the_graph_churns():
     ):
         st = apply_batch(st, batch(*ops))
         assert st.G == fresh_oracle(st)
-        for m in (st.G, st.B):
+        for m in (st.F, st.G, st.B):
             assert all(e is zero for row in m.rows for e in row if not e)
 
 
@@ -599,3 +636,24 @@ def test_property_bits_mode_within_certified_bound(n, d, k, bits, rng):
                 for j in range(k + 1):
                     assert abs(e[j] - dd[j]) <= bound
     _assert_matches_oracles(exact)
+
+
+@pytest.mark.parametrize("threshold", [0, DEFAULT_CASCADE_THRESHOLD])
+@settings(max_examples=15, deadline=None)
+@given(hst.integers(2, 6), hst.integers(1, 6), hst.randoms(use_true_random=False))
+def test_property_weighted_digraph_matches_oracle(threshold, n, k, rng):
+    """Non-symmetric T with mixed denominators, on both core routes."""
+
+    def weight():
+        return rand_rat(rng, 3, 6)
+
+    a = [[weight() if rng.random() < 0.5 else Rat(0) for _ in range(n)] for _ in range(n)]
+    st = state_from_matrix(RatMatrix(a), k, cascade_threshold=threshold)
+    for _ in range(3):
+        deltas = [(rng.randrange(n), rng.randrange(n), weight()) for _ in range(rng.randint(1, 4))]
+        for r, c, dl in deltas:
+            a[r][c] += dl
+        st = apply_entry_deltas(st, [(r, n + c, dl) for r, c, dl in deltas])
+        b = bipartite_embed(PolyMatrix.from_rational(RatMatrix(a)))
+        assert st.B == b
+        assert st.G == exact_power_sum(b, k)

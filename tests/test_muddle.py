@@ -36,7 +36,8 @@ class ReplayTimeline:
     Each job rebuilds from scratch at its spawn, replays its backlog at two
     batches per tick once its compute ticks are over, and delivers its own
     state truncated to b bits.  The served state takes every batch as an
-    exact fold followed by truncation of every coefficient.  Nothing here
+    exact fold followed by truncation of every coefficient (of F, which
+    is every coefficient of G but its structural zeros).  Nothing here
     shares work between jobs, so it checks that the shadow scheduler's
     counters and single exact state reproduce the model.
     """
@@ -64,8 +65,8 @@ class ReplayTimeline:
             raise BudgetExhausted("served budget exhausted")
         budget = st.budget.copy()
         budget.spend(1)
-        g = truncate_all(folded.G, st.bits)
-        return replace(folded, mode="bits", bits=st.bits, G=g, budget=budget)
+        f = truncate_all(folded.F, st.bits)
+        return replace(folded, mode="bits", bits=st.bits, F=f, budget=budget)
 
     def step(self, batch):
         cfg = self.cfg
@@ -90,7 +91,7 @@ class ReplayTimeline:
                     job["state"],
                     mode="bits",
                     bits=cfg.bits,
-                    G=truncate_all(job["state"].G, cfg.bits),
+                    F=truncate_all(job["state"].F, cfg.bits),
                     budget=budget,
                 )
                 self.jobs.remove(job)
