@@ -334,7 +334,10 @@ class ScaledMatrix:
 
     @staticmethod
     def of_polys(rows) -> "ScaledMatrix":
-        """Rows of UniPoly as IntPoly entries over their common denominator."""
+        """Rows of UniPoly as IntPoly entries over their common denominator.
+
+        Zero entries all share the one empty IntPoly.
+        """
         den = math.lcm(
             *(c.denominator for row in rows for e in row for c in e.coeffs)
         )
@@ -342,6 +345,8 @@ class ScaledMatrix:
             [
                 [
                     IntPoly([c.numerator * (den // c.denominator) for c in e.coeffs])
+                    if e.coeffs
+                    else _EMPTY
                     for e in row
                 ]
                 for row in rows

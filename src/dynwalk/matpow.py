@@ -8,22 +8,25 @@ Everything here runs on integer matrices over one common denominator
   (I - uA)^{-1}, with u = z/delta.  Each entry series is a Cramer ratio
   adj(I - uA)[s, t] / det(I - uA); both are integer polynomials in u,
   interpolated from one fraction-free Gauss-Jordan elimination of the
-  integer matrix s^2 delta I - jA per grid point j, and the series is the
-  adjugate entry times the integer ``poly.series_inverse`` of the
+  integer matrix s^2 delta I - jA per grid point j; the determinant and
+  all n^2 adjugate entries go through one ``poly.newton_ints`` pass.
+  Power i is the vector sum over l of the u^l adjugate coefficients times
+  coefficient i - l of the integer ``poly.series_inverse`` of the
   determinant, whose constant term is one.  No step divides inexactly,
   and (A/delta)^i = A^i / delta^i.
 * ``_grid_power_sum``: sum_l a x^b M(x)^l for a polynomial matrix
   M = N/Delta, from one power table per point of one grid x_g = g/X.
   There M(x_g) = A_g/delta with the integer matrix A_g = X^d N(g/X) and
   delta = Delta X^d, the same at every point, so every point's value is
-  an integer matrix over one shared denominator and each entry is
-  interpolated once by ``poly.newton_ints``.  A polynomial of degree at
+  an integer matrix over one shared denominator and all n^2 entries are
+  interpolated in one ``poly.newton_ints`` pass.  A polynomial of degree at
   least the dimension is first reduced modulo the monic integer
   characteristic polynomial of A_g, the reversal of the table's
   det(I - uA_g), so only powers below the dimension are formed.
   ``power_large`` (one power M(x)^k) and the cascade route of
   ``power_sum`` (the truncated resolvent sum used by the dynamic layer)
-  are both this one loop.
+  are both this one loop; the cascade first cuts M mod x^k, all that its
+  truncation reads, so its grid is sized to the answer.
 
 Rat enters and leaves only at the public edges: a RatMatrix or PolyMatrix
 argument is brought to integers over its common denominator once;
@@ -51,7 +54,6 @@ from .poly import (
     divide_monic,
     EvalGrid,
     interpolate,  # noqa: F401 - unused here; bench/layers.py traces matpow.interpolate
-    mul_mod_ints,
     newton_ints,
     series_inverse,
 )
@@ -157,7 +159,10 @@ def small_powers_via_series(mat, max_power: int) -> PowerTable:
     matrix, and one elimination of it yields its determinant and all n^2
     adjugate entries, polynomials in j whose coefficients are those in u
     times powers of (3n)^2 delta.  Every z_j is below one, so the matrix
-    is strictly diagonally dominant and invertible.
+    is strictly diagonally dominant and invertible.  The determinant and
+    the n^2 adjugate entries are interpolated together by one
+    ``newton_ints`` call, and power i is formed as one vector sum over
+    l <= min(i, n-1) of inv[i-l] times the u^l adjugate coefficients.
     """
     if isinstance(mat, RatMatrix):
         mat = ScaledMatrix.of_rats(mat.rows)
@@ -187,21 +192,28 @@ def small_powers_via_series(mat, max_power: int) -> PowerTable:
         )
         dets.append(det)
         adjs.append(adj)
-    # coefficient l in j of det (of adj) is n! s2d^(n-l) (n! s2d^(n-1-l))
-    # times coefficient l in u
+    # one interpolation for det and all n^2 adjugate entries; coefficient
+    # l in j of det (of adj) is n! s2d^(n-l) (n! s2d^(n-1-l)) times
+    # coefficient l in u
+    coeffs = newton_ints(
+        [[det] + [v for row in adj for v in row] for det, adj in zip(dets, adjs)]
+    )
     fact = math.factorial(n)
     unscale = [fact * s2d ** (n - l) for l in range(n + 1)]
-    d_series = IntPoly(p // q for p, q in zip(newton_ints(dets), unscale))
+    d_series = IntPoly(vec[0] // q for vec, q in zip(coeffs, unscale))
     if d_series[:1] != (1,):
         raise AssertionError("det(I - zA) lost its unit constant term")
     inv = series_inverse(d_series, max_power)
-    powers = [[[0] * n for _ in range(n)] for _ in range(max_power + 1)]
-    for s in range(n):
-        for t in range(n):
-            interpolated = newton_ints([adj[s][t] for adj in adjs])
-            numer = [p // q for p, q in zip(interpolated, unscale[1:])]
-            for i, v in enumerate(mul_mod_ints(numer, inv, max_power)):
-                powers[i][s][t] = v
+    # numers[l][s n + t] is the u^l coefficient of adj(I - uA)[s, t]
+    numers = [[v // q for v in vec[1:]] for vec, q in zip(coeffs, unscale[1:])]
+    powers = []
+    for i in range(max_power + 1):
+        flat = [0] * (n * n)
+        for l in range(max(i - inv.degree, 0), min(i, n - 1) + 1):
+            c = inv[i - l]
+            if c:
+                flat = [f + c * v for f, v in zip(flat, numers[l])]
+        powers.append([flat[s * n : (s + 1) * n] for s in range(n)])
     if powers[0] != [[int(s == t) for t in range(n)] for s in range(n)]:
         raise AssertionError("zeroth power failed to come out as identity")
     return PowerTable(d_series, powers, den)
@@ -231,8 +243,9 @@ def _grid_power_sum(mat: ScaledMatrix, terms, degree: int) -> ScaledMatrix:
     deg q_g >= n, q_g is first reduced modulo the monic integer
     characteristic polynomial of A_g (by Cayley-Hamilton the remainder
     takes the same value at A_g).  Every point's value is then an integer
-    matrix over the same E, so each entry is interpolated once: for P its
-    ``newton_ints``, the x^j coefficient is P_j X^j / ((m-1)! E).
+    matrix over the same E, so all n^2 entries are interpolated by one
+    ``newton_ints`` call: for P an entry's output, its x^j coefficient is
+    P_j X^j / ((m-1)! E).
     """
     n = mat.nrows
     m = degree + 1
@@ -241,6 +254,7 @@ def _grid_power_sum(mat: ScaledMatrix, terms, degree: int) -> ScaledMatrix:
     delta = mat.den * x_den**d
     l_top = max(l for l, _, _ in terms)
     b_top = max(b for _, _, b in terms)
+    zero = [0] * (n * n)
     per_point = []
     for g in range(m):
         q = [0] * (l_top + 1)
@@ -248,7 +262,7 @@ def _grid_power_sum(mat: ScaledMatrix, terms, degree: int) -> ScaledMatrix:
             q[l] += a * g**b * x_den ** (b_top - b) * delta ** (l_top - l)
         q = IntPoly(q)
         if not q:
-            per_point.append(None)
+            per_point.append(zero)
             continue
         at_g = [g**j * x_den ** (d - j) for j in range(d + 1)]
         a_g = [[sum(c * w for c, w in zip(e, at_g)) for e in row] for row in mat.rows]
@@ -257,16 +271,12 @@ def _grid_power_sum(mat: ScaledMatrix, terms, degree: int) -> ScaledMatrix:
             _, q = divide_monic(q, table.charpoly())
         terms_g = [(c, table.powers[j]) for j, c in enumerate(q) if c]
         per_point.append(
-            [[sum(c * p[s][t] for c, p in terms_g) for t in range(n)] for s in range(n)]
+            [sum(c * p[s][t] for c, p in terms_g) for s in range(n) for t in range(n)]
         )
     x_pows = [x_den**j for j in range(m)]
-    rows = []
-    for s in range(n):
-        row = []
-        for t in range(n):
-            interpolated = newton_ints([v[s][t] if v else 0 for v in per_point])
-            row.append(IntPoly(p * xp for p, xp in zip(interpolated, x_pows)))
-        rows.append(row)
+    coeffs = [[v * xp for v in vec] for vec, xp in zip(newton_ints(per_point), x_pows)]
+    entries = [IntPoly(e) for e in zip(*coeffs)]
+    rows = [entries[s * n : (s + 1) * n] for s in range(n)]
     return ScaledMatrix(rows, math.factorial(m - 1) * x_den**b_top * delta**l_top)
 
 
@@ -314,14 +324,17 @@ def power_sum(mat, k: int, method: str = "direct"):
     (each factor of xM raises the minimum degree, so termination is
     certain).  ``method="charpoly"`` is the cascade path, selected by the
     dynamic layer for oversized gadget cores.  Those carry walk sums and
-    need not meet ``power_large``'s magnitude preconditions, so M is
-    first divided by the least power of two c = 2^e with sum of
-    |coefficients| <= c/(3n) in every entry, which bounds every
-    evaluation on [0, 1] by 1/(3n).  The terms i = 1..i_max that survive
-    the truncation are then one ``_grid_power_sum`` of the terms
+    need not meet ``power_large``'s magnitude preconditions.  Term i,
+    x^i M^i mod x^(k+1), reads only M mod x^(k+1-i), so M is first cut
+    mod x^k, which serves every i >= 1; a cut that leaves M zero gives
+    the identity.  The cut M is divided by the least power of two c = 2^e
+    with sum of |coefficients| <= c/(3n) in every entry, which bounds
+    every evaluation on [0, 1] by 1/(3n).  The terms i = 1..i_max that
+    survive the truncation are then one ``_grid_power_sum`` of the terms
     (c x)^i z^i over M/c, since (c x)^i (M/c)(x)^i = x^i M(x)^i exactly;
-    its entries have degree at most (d+1) i_max and are cut mod x^(k+1).
-    Any input therefore gives the same sum as the direct route.
+    with d the degree of M, its entries have degree at most
+    (min(d, k-1) + 1) i_max and are cut mod x^(k+1).  Any input therefore
+    gives the same sum as the direct route.
     """
     if isinstance(mat, PolyMatrix):
         return power_sum(ScaledMatrix.of_polys(mat.rows), k, method).to_poly()
@@ -345,6 +358,12 @@ def power_sum(mat, k: int, method: str = "direct"):
                 term = term.mul(shifted, k)
         return total.reduced()
     if method == "charpoly":
+        # x^i M^i mod x^(k+1) reads only M mod x^(k+1-i), so for every
+        # i >= 1 the grid needs M only mod x^k
+        mat = mat.truncated(k - 1)
+        entries = [e for row in mat.rows for e in row if e]
+        if not entries:
+            return total
         bound = max(sum(map(abs, e)) for e in entries)
         c = 1
         while bound * 3 * n > c * mat.den:

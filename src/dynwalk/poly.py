@@ -8,13 +8,14 @@ holds Rat coefficients, ``IntPoly`` ints.
 The nontrivial algorithms are integer kernels, which the power machinery
 calls directly, with thin Rat boundaries for everyone else:
 
-* ``newton_ints``: the unique degree < m polynomial through integer values
-  at t = 0..m-1, as integers over (m-1)!.  The points are equally spaced,
-  so the Newton form of the Vandermonde solve reduces to integer forward
-  differences expanded in falling factorials (signed Stirling numbers of
-  the first kind).  ``interpolate`` is its Rat boundary: it brings values
-  on a grid i/scale^2 to one common denominator and makes one Rat per
-  coefficient.
+* ``newton_ints``: the unique degree < m polynomials through integer
+  values at t = 0..m-1, as integers over (m-1)!, for a whole vector of
+  polynomials at once.  The points are equally spaced, so the Newton form
+  of the Vandermonde solve reduces to integer forward differences expanded
+  in falling factorials (signed Stirling numbers of the first kind), each
+  step one pass across all the polynomials.  ``interpolate`` is its Rat
+  boundary for a single polynomial: it brings values on a grid i/scale^2
+  to one common denominator and makes one Rat per coefficient.
 * ``series_inverse``: the truncated power-series inverse of a polynomial
   with constant term one, by its linear recurrence.  On an IntPoly it runs
   in integers; a UniPoly is rescaled to an integer polynomial first.
@@ -282,7 +283,8 @@ class EvalGrid:
 def interpolate(grid: EvalGrid, values) -> UniPoly:
     """The unique polynomial of degree < grid.count through the grid values.
 
-    The Rat boundary of ``newton_ints``.  With points x_i = i*h,
+    The Rat boundary of ``newton_ints``, for one polynomial (each value
+    is a one-element vector).  With points x_i = i*h,
     h = 1/scale**2, write t = x/h.  The values are brought to integers
     over their common denominator D, and ``newton_ints`` gives integers
     P_j with D*p(x) = sum_j P_j t^j / (m-1)!, so coefficient j is one
@@ -293,48 +295,51 @@ def interpolate(grid: EvalGrid, values) -> UniPoly:
     if len(values) != m:
         raise ValueError(f"expected {m} values on the grid, got {len(values)}")
     den = math.lcm(*(v.denominator for v in values))
-    acc = newton_ints([v.numerator * (den // v.denominator) for v in values])
+    acc = newton_ints([[v.numerator * (den // v.denominator)] for v in values])
     total_den = den * math.factorial(m - 1)
     s2 = grid.scale * grid.scale
     coeffs = []
     step = 1
-    for c in acc:
+    for (c,) in acc:
         coeffs.append(Rat(c * step, total_den))
         step *= s2
     return UniPoly(coeffs)
 
 
 def newton_ints(values) -> list:
-    """Integers P with p(t) = sum_j P[j] t^j / (m-1)! through values at t = 0..m-1.
+    """Interpolate many integer polynomials on t = 0..m-1 in one pass.
 
-    values are the m integers p(0), ..., p(m-1).  In Newton form
+    values are m integer vectors: vector i holds p(i) for every
+    polynomial p, in one fixed order.  The answer is m integer vectors in
+    the same order, vector j holding the P_j with
+    p(t) = sum_j P_j t^j / (m-1)!.  In Newton form
 
         p(t) = sum_k (Delta^k p(0) / k!) * t(t-1)...(t-k+1),
 
     the forward differences Delta^k are integers, and scaling by (m-1)!
     makes every term integral.  The falling factorials are expanded by
     Horner's rule in t (their coefficients are the signed Stirling
-    numbers of the first kind), so no step divides.  The list has m
-    entries; a polynomial with integer coefficients has P[j] divisible
-    by (m-1)!.
+    numbers of the first kind), so no step divides.  Each difference and
+    each Horner step is one pass over all the polynomials at once.  A
+    polynomial with integer coefficients has every P_j divisible by
+    (m-1)!.
     """
     m = len(values)
-    diffs = list(values)
     # leading[k] = Delta^k p(0) * (m-1)!/k!, all integers
-    leading = [0] * m
-    fact = 1  # (m-1)!/k!, built from k = m-1 down
-    for k in range(m - 1, -1, -1):
-        leading[k] = fact
-        fact *= k
-    for k in range(m):
-        leading[k] *= diffs[0]
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    scale = [1] * m
+    for k in range(m - 2, -1, -1):
+        scale[k] = scale[k + 1] * (k + 1)
+    diffs = values
+    leading = []
+    for f in scale:
+        leading.append([f * v for v in diffs[0]])
+        diffs = [[b - a for a, b in zip(u, w)] for u, w in zip(diffs, diffs[1:])]
     # Horner over falling factorials: acc <- acc * (t - k) + leading[k]
     acc = [leading[m - 1]]
     for k in range(m - 2, -1, -1):
-        nxt = [-k * acc[0] + leading[k]]
-        for i in range(1, len(acc)):
-            nxt.append(acc[i - 1] - k * acc[i])
+        nxt = [[c - k * a for c, a in zip(leading[k], acc[0])]]
+        for lo, hi in zip(acc, acc[1:]):
+            nxt.append([a - k * b for a, b in zip(lo, hi)])
         nxt.append(acc[-1])
         acc = nxt
     return acc

@@ -258,7 +258,8 @@ def test_power_sum_charpoly_route_agrees():
     assert power_sum(const, 4, method="charpoly") == power_sum(const, 4, method="direct")
 
 
-def test_cascade_power_sum_builds_one_table_per_grid_point(monkeypatch):
+def count_cascade_calls(monkeypatch):
+    """Count power tables and divisions; refuse any route via power_large."""
     calls = {"table": 0, "divide": 0}
     real_table, real_divide = matpow.small_powers_via_series, matpow.divide_monic
 
@@ -276,14 +277,45 @@ def test_cascade_power_sum_builds_one_table_per_grid_point(monkeypatch):
     monkeypatch.setattr(matpow, "small_powers_via_series", counting_table)
     monkeypatch.setattr(matpow, "divide_monic", counting_divide)
     monkeypatch.setattr(matpow, "power_large", refuse)
+    return calls
+
+
+def test_cascade_power_sum_builds_one_table_per_grid_point(monkeypatch):
+    calls = count_cascade_calls(monkeypatch)
     m = PolyMatrix(
         [[poly_from(rat(1, 2), 1), poly_from(0, 2)], [poly_from(3), poly_from(rat(-1, 5))]]
     )
     # degree d = 1 and constant terms everywhere, so i_max = k = 3 >= n = 2:
-    # (d + 1) i_max + 1 = 7 grid points, and x = 0 needs no table
+    # the cut mod x^k keeps d = 1, (min(d, k - 1) + 1) i_max + 1 = 7 grid
+    # points, and x = 0 needs no table
     got = power_sum(m, 3, method="charpoly")
     assert calls == {"table": 6, "divide": 6}
     assert got == power_sum(m, 3, method="direct")
+
+
+def test_cascade_power_sum_cuts_the_core_before_the_grid(monkeypatch):
+    calls = count_cascade_calls(monkeypatch)
+    m = PolyMatrix(
+        [
+            [poly_from(rat(1, 3), 1, 0, 2), poly_from(0, rat(1, 2), 5, -1)],
+            [poly_from(2, 0, 0, 7), poly_from(rat(-1, 4), 3, 1, 1)],
+        ]
+    )
+    # degree d = 3 and constant terms, so i_max = k = 2 = n.  The cut mod
+    # x^2 leaves degree 1: (1 + 1) * 2 + 1 = 5 grid points, 4 tables and 4
+    # divisions, where the uncut core would take 9 points, 8 and 8
+    got = power_sum(m, 2, method="charpoly")
+    assert calls == {"table": 4, "divide": 4}
+    assert got == power_sum(m, 2, method="direct")
+
+
+@settings(deadline=None, max_examples=40)
+@given(hst.integers(1, 3), hst.integers(1, 4), hst.data())
+def test_cut_charpoly_route_matches_oracle_on_high_degree_cores(size, k, data):
+    """Entry degrees up to k + 2, past the cut mod x^k: the charpoly route
+    still equals the oracle's Horner sum."""
+    m = _poly_matrix_over(data, size, k + 2, data.draw(hst.sampled_from([1, 6, 2**64])))
+    assert power_sum(m, k, method="charpoly") == exact_power_sum(m, k)
 
 
 def test_power_sum_validation():

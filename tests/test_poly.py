@@ -303,11 +303,56 @@ def test_newton_ints_roundtrip(coeffs):
     coefficients times (m-1)!."""
     p = UniPoly(coeffs)
     m = len(coeffs)
-    values = [int(p.eval(t)) for t in range(m)]
+    values = [[int(p.eval(t))] for t in range(m)]
     fact = math.factorial(m - 1)
     got = newton_ints(values)
     assert len(got) == m
-    assert got == [fact * Rat(c) for c in coeffs]
+    assert got == [[fact * Rat(c)] for c in coeffs]
+
+
+def lagrange_scaled(values):
+    """(m-1)! times the coefficients of the Lagrange interpolant through
+    values at t = 0..m-1, built in exact rationals, one polynomial."""
+    m = len(values)
+    total = [Rat(0)] * m
+    for i, v in enumerate(values):
+        basis, den = [Rat(1)], 1
+        for j in range(m):
+            if j != i:
+                basis = [Rat(0)] + basis
+                for l in range(len(basis) - 1):
+                    basis[l] -= j * basis[l + 1]
+                den *= i - j
+        for l, b in enumerate(basis):
+            total[l] += v * b / den
+    fact = math.factorial(m - 1)
+    scaled = [fact * c for c in total]
+    assert all(c.denominator == 1 for c in scaled)
+    return [int(c) for c in scaled]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda m: st.integers(1, 20).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.integers(-(2**200), 2**200), min_size=width, max_size=width
+                ),
+                min_size=m,
+                max_size=m,
+            )
+        )
+    )
+)
+def test_newton_ints_interpolates_every_column(values):
+    """The vector kernel on m points and many polynomials at once agrees,
+    column by column, with an independent Lagrange interpolation."""
+    got = newton_ints(values)
+    assert len(got) == len(values)
+    assert all(len(vec) == len(values[0]) for vec in got)
+    for col in range(len(values[0])):
+        assert [vec[col] for vec in got] == lagrange_scaled([v[col] for v in values])
 
 
 @settings(deadline=None, max_examples=60)
