@@ -9,9 +9,12 @@ Three determinant routes live here:
 * ``det_poly``: determinant of a polynomial matrix by evaluation on a
   rational grid, rational determinants per point, and exact interpolation.
 
-``charpoly`` (built on ``det_poly``) serves the oracle's eigenvalue
-bracketer.  The power machinery in :mod:`dynwalk.matpow` takes none of
-these determinants, only the matrix containers: one fraction-free
+``charpoly`` (built on ``det_poly``) is tested API off the production
+path: nothing in the library calls it, and it stays because the
+benchmark's layer trace binds it as ``matpow.charpoly``.  The oracle
+computes its own characteristic polynomial by a trace recurrence.  The
+power machinery in :mod:`dynwalk.matpow` takes none of these
+determinants, only the matrix containers: one fraction-free
 elimination per grid point yields det(I - uA) and all n^2 Cramer
 numerators at once, and the characteristic polynomial is the reversal of
 det(I - uA).
@@ -118,34 +121,14 @@ class RatMatrix:
         return RatMatrix(out)
 
     def add(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("shape mismatch")
         return RatMatrix(
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
             ]
         )
-
-    def sub(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
-        return RatMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def _same_shape(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
-
-    def minor(self, drop_row: int, drop_col: int) -> "RatMatrix":
-        rows = [
-            [v for j, v in enumerate(row) if j != drop_col]
-            for i, row in enumerate(self.rows)
-            if i != drop_row
-        ]
-        return RatMatrix(rows)
 
     def max_denominator_bits(self) -> int:
         bits = 0
@@ -267,16 +250,6 @@ class PolyMatrix:
             ]
         )
 
-    def sub(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
-        return PolyMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
     def scale_poly(self, p: UniPoly, trunc: int | None = None) -> "PolyMatrix":
         if trunc is not None:
             return PolyMatrix(
@@ -284,25 +257,9 @@ class PolyMatrix:
             )
         return PolyMatrix([[p * e for e in row] for row in self.rows])
 
-    def truncated(self, k: int) -> "PolyMatrix":
-        return PolyMatrix([[e.truncated(k) for e in row] for row in self.rows])
-
     def eval_at(self, point) -> RatMatrix:
         point = Rat(point)
         return RatMatrix([[e.eval(point) for e in row] for row in self.rows])
-
-    def minor(self, drop_row: int, drop_col: int) -> "PolyMatrix":
-        rows = [
-            [e for j, e in enumerate(row) if j != drop_col]
-            for i, row in enumerate(self.rows)
-            if i != drop_row
-        ]
-        if not rows:
-            return PolyMatrix.zeros(0, 0)
-        return PolyMatrix(rows)
-
-    def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
 
 
 class ScaledMatrix:

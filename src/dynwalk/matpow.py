@@ -30,7 +30,7 @@ Everything here runs on integer matrices over one common denominator
 
 Rat enters and leaves only at the public edges: a RatMatrix or PolyMatrix
 argument is brought to integers over its common denominator once;
-``PowerTable`` indexing and ``det_series`` hand back Rat objects; and
+``PowerTable`` indexing hands back Rat objects; and
 ``power_large``, and ``power_sum`` given a PolyMatrix, return a
 PolyMatrix.  The dynamic layer hands ``power_sum`` a ScaledMatrix and
 gets one back, so its core power sum builds no Rat at all.
@@ -49,7 +49,6 @@ from dataclasses import dataclass
 
 from .numerics import Rat
 from .poly import (
-    UniPoly,
     IntPoly,
     divide_monic,
     EvalGrid,
@@ -82,18 +81,12 @@ class PowerTable:
     ints), ``den`` is delta, and ``det`` is the IntPoly det(I - uA) in
     u = z/delta, whose reversal of order n, ``charpoly()``, is the monic
     integer characteristic polynomial det(wI - A).  Rat leaves only here:
-    indexing returns the RatMatrix (A/delta)^i, and ``det_series`` the
-    UniPoly det(I - zA/delta), whose reversal of order n is the
-    characteristic polynomial of A/delta.
+    indexing returns the RatMatrix (A/delta)^i.
     """
 
     det: IntPoly
     powers: list
     den: int
-
-    @property
-    def det_series(self) -> UniPoly:
-        return UniPoly([Rat(e, self.den**j) for j, e in enumerate(self.det)])
 
     def charpoly(self) -> IntPoly:
         n = len(self.powers[0])
@@ -336,6 +329,8 @@ def power_sum(mat, k: int, method: str = "direct"):
     (min(d, k-1) + 1) i_max and are cut mod x^(k+1).  Any input therefore
     gives the same sum as the direct route.
     """
+    if method not in ("direct", "charpoly"):
+        raise ValueError(f"unknown power_sum method {method!r}")
     if isinstance(mat, PolyMatrix):
         return power_sum(ScaledMatrix.of_polys(mat.rows), k, method).to_poly()
     n = mat.nrows
@@ -357,25 +352,23 @@ def power_sum(mat, k: int, method: str = "direct"):
             if i <= k:
                 term = term.mul(shifted, k)
         return total.reduced()
-    if method == "charpoly":
-        # x^i M^i mod x^(k+1) reads only M mod x^(k+1-i), so for every
-        # i >= 1 the grid needs M only mod x^k
-        mat = mat.truncated(k - 1)
-        entries = [e for row in mat.rows for e in row if e]
-        if not entries:
-            return total
-        bound = max(sum(map(abs, e)) for e in entries)
-        c = 1
-        while bound * 3 * n > c * mat.den:
-            c *= 2
-        # x^i M^i contributes nothing once the minimum entry degree pushes
-        # every coefficient past the truncation
-        low = min(next(j for j, v in enumerate(e) if v) for e in entries)
-        i_max = k // (1 + low)
-        if i_max == 0:
-            return total
-        degree = max(len(e) for e in entries) * i_max
-        terms = [(i, c**i, i) for i in range(1, i_max + 1)]
-        core = _grid_power_sum(ScaledMatrix(mat.rows, c * mat.den), terms, degree)
-        return total.add(core.truncated(k)).reduced()
-    raise ValueError(f"unknown power_sum method {method!r}")
+    # x^i M^i mod x^(k+1) reads only M mod x^(k+1-i), so for every
+    # i >= 1 the grid needs M only mod x^k
+    mat = mat.truncated(k - 1)
+    entries = [e for row in mat.rows for e in row if e]
+    if not entries:
+        return total
+    bound = max(sum(map(abs, e)) for e in entries)
+    c = 1
+    while bound * 3 * n > c * mat.den:
+        c *= 2
+    # x^i M^i contributes nothing once the minimum entry degree pushes
+    # every coefficient past the truncation
+    low = min(next(j for j, v in enumerate(e) if v) for e in entries)
+    i_max = k // (1 + low)
+    if i_max == 0:
+        return total
+    degree = max(len(e) for e in entries) * i_max
+    terms = [(i, c**i, i) for i in range(1, i_max + 1)]
+    core = _grid_power_sum(ScaledMatrix(mat.rows, c * mat.den), terms, degree)
+    return total.add(core.truncated(k)).reduced()

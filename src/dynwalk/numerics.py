@@ -23,10 +23,7 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 __all__ = [
     "Rat",
     "rat",
-    "make_rational",
-    "bit_bound",
     "truncate_to_bits",
-    "is_b_approx",
     "pow2",
     "format_rat",
     "parse_rat",
@@ -41,36 +38,6 @@ R1 = Rat(1)
 def rat(num, den=1):
     """Shorthand constructor for the package rational type."""
     return Rat(num, den)
-
-
-def make_rational(num: int, den: int):
-    """Build a normalized rational from an integer pair.
-
-    >>> r = make_rational(-4, 8)
-    >>> (r.numerator, r.denominator)
-    (-1, 2)
-    """
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    return Rat(num, den)
-
-
-def bit_bound(r) -> int:
-    """Smallest b such that r is a b-bit rational.
-
-    Requires |r| < 1: a value with magnitude >= 1 has no bit bound under this
-    convention and raises ValueError.
-
-    >>> bit_bound(rat(3, 7))
-    3
-    >>> bit_bound(rat(0))
-    0
-    """
-    r = Rat(r)
-    if abs(r.numerator) >= r.denominator:
-        raise ValueError(f"no bit bound: |{r}| >= 1")
-    # smallest b with denominator <= 2**b
-    return (int(r.denominator) - 1).bit_length()
 
 
 def truncate_to_bits(r, bits: int):
@@ -100,15 +67,6 @@ def truncate_to_bits(r, bits: int):
     if neg:
         q = -q
     return Rat(q, 1 << bits)
-
-
-def is_b_approx(approx, exact, bits: int) -> bool:
-    """True when |approx - exact| <= 2**-bits.
-
-    >>> is_b_approx(rat(3, 8), rat(3, 7), 3)
-    True
-    """
-    return abs(Rat(approx) - Rat(exact)) <= Rat(1, 1 << bits)
 
 
 def pow2(exponent: int):
@@ -156,8 +114,8 @@ class PrecisionBudget:
     """Tracks truncation bits spent against an initial allowance.
 
     ``initial_bits`` is the coefficient width b of the structure being
-    tracked.  ``bits_spent`` counts truncating updates applied since the last
-    refresh.  ``guard`` reserves headroom: charging is refused once fewer
+    tracked.  ``bits_spent`` counts truncating updates applied since the
+    structure was last recomputed exactly.  ``guard`` reserves headroom: charging is refused once fewer
     than ``guard`` bits would remain, which signals that the maintained
     values have gone stale and a fresh recompute is needed.
     """
@@ -188,10 +146,6 @@ class PrecisionBudget:
                 f"{self.initial_bits} bits spent, guard {self.guard}"
             )
         self.bits_spent += bits
-
-    def refreshed(self) -> "PrecisionBudget":
-        """A fresh budget with the same allowance and nothing spent."""
-        return PrecisionBudget(self.initial_bits, 0, self.guard)
 
     def copy(self) -> "PrecisionBudget":
         return PrecisionBudget(self.initial_bits, self.bits_spent, self.guard)

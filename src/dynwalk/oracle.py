@@ -6,7 +6,11 @@ between the two is evidence rather than tautology.  These oracles are the
 ground truth behind the test suite: naive truncated power sums, walk-count
 dynamic programming, fraction-free determinants, exhaustive conductance,
 and a characteristic-polynomial eigenvalue bracketer with exact rational
-sign tests (no floating point anywhere).
+sign tests (no floating point anywhere).  The characteristic polynomial
+comes from the Faddeev-LeVerrier trace recurrence on integers, so the
+eigenvalue oracle takes none of the determinant, interpolation or series
+kernels the power machinery runs on; from ``poly`` and ``linalg`` this
+module takes only the container types.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .numerics import R0, R1, Rat
-from .poly import UniPoly, divide_monic
-from .linalg import PolyMatrix, RatMatrix, charpoly
+from .poly import UniPoly
+from .linalg import PolyMatrix, RatMatrix
 from .graph import DynGraph
 
 __all__ = [
@@ -340,6 +344,44 @@ def _variations(chain: list, x: Rat) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _charpoly(t: RatMatrix) -> UniPoly:
+    """Monic det(zI - T) by the Faddeev-LeVerrier trace recurrence.
+
+    With D the lcm of T's denominators, N = D T is an integer matrix whose
+    characteristic polynomial sum_l c_l z^l has integer coefficients:
+    M_1 = I, c_n = 1, and for k = 1..n, c_(n-k) = -tr(N M_k)/k and
+    M_(k+1) = N M_k + c_(n-k) I.  Every M_k is an integer polynomial in
+    N, so each division by k is exact, and M_(n+1) = 0 by Cayley-Hamilton.
+    Then det(zI - T) = det(DzI - N)/D^n has coefficient l equal to
+    c_l / D^(n-l).
+    """
+    n = t.nrows
+    den = math.lcm(*(int(v.denominator) for row in t.rows for v in row))
+    # N by rows, each row as its nonzero (column, value) pairs
+    nz = [
+        [(j, int(v * den)) for j, v in enumerate(row) if v != 0] for row in t.rows
+    ]
+    c = [0] * n + [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        prod = []
+        for row in nz:
+            acc = [0] * n
+            for j, v in row:
+                acc = [a + v * b for a, b in zip(acc, m[j])]
+            prod.append(acc)
+        c_k, rem = divmod(-sum(prod[i][i] for i in range(n)), k)
+        if rem:
+            raise AssertionError("trace recurrence left a remainder")
+        c[n - k] = c_k
+        for i in range(n):
+            prod[i][i] += c_k
+        m = prod
+    if any(any(row) for row in m):
+        raise AssertionError("characteristic polynomial fails Cayley-Hamilton")
+    return UniPoly([Rat(c_l, den ** (n - l)) for l, c_l in enumerate(c)])
+
+
 def _deflated_charpoly(t: RatMatrix) -> UniPoly:
     n = t.nrows
     if not t.is_square or n < 2:
@@ -350,11 +392,10 @@ def _deflated_charpoly(t: RatMatrix) -> UniPoly:
         for j in range(i + 1, n):
             if t.rows[i][j] != t.rows[j][i]:
                 raise ValueError("matrix is not symmetric")
-    chi = charpoly(t)
-    q, r = divide_monic(chi, UniPoly([-R1, R1]))
-    if r:
+    q, r = _polydivmod(list(_charpoly(t).coeffs), [-R1, R1])
+    if any(c != 0 for c in r):
         raise AssertionError("eigenvalue one missing from a stochastic matrix")
-    return q
+    return UniPoly(q)
 
 
 def second_eigenvalue(t: RatMatrix, tol: Rat) -> EigenBracket:

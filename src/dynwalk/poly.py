@@ -93,13 +93,6 @@ class UniPoly:
         return _X
 
     @staticmethod
-    def monomial(coeff, power: int) -> "UniPoly":
-        coeff = Rat(coeff)
-        if coeff == 0:
-            return _ZERO
-        return UniPoly([R0] * power + [coeff])
-
-    @staticmethod
     def constant(c) -> "UniPoly":
         return UniPoly([Rat(c)])
 
@@ -164,10 +157,10 @@ class UniPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return UniPoly(out)
+        return UniPoly.of_rats(out)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly.of_rats([-c for c in self.coeffs])
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
@@ -183,13 +176,7 @@ class UniPoly:
             for j, bj in enumerate(b):
                 if bj != 0:
                     out[i + j] += ai * bj
-        return UniPoly(out)
-
-    def scale(self, c) -> "UniPoly":
-        c = Rat(c)
-        if c == 0:
-            return _ZERO
-        return UniPoly([c * a for a in self.coeffs])
+        return UniPoly.of_rats(out)
 
     def mul_mod_deg(self, other: "UniPoly", k: int) -> "UniPoly":
         """Product truncated to degree k: self*other mod x^(k+1)."""
@@ -208,13 +195,13 @@ class UniPoly:
                 bj = b[j]
                 if bj != 0:
                     out[i + j] += ai * bj
-        return UniPoly(out)
+        return UniPoly.of_rats(out)
 
     def truncated(self, k: int) -> "UniPoly":
         """Drop every term of degree above k."""
         if self.degree <= k:
             return self
-        return UniPoly(self.coeffs[: k + 1])
+        return UniPoly.of_rats(self.coeffs[: k + 1])
 
     def eval(self, point):
         """Horner evaluation at an exact rational point."""
@@ -223,25 +210,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
-
-    def reversed_at(self, n: int) -> "UniPoly":
-        """Coefficient reversal x^n * p(1/x); requires n >= degree."""
-        if n < self.degree:
-            raise ValueError("reversal order below degree")
-        out = [R0] * (n + 1)
-        for i, c in enumerate(self.coeffs):
-            out[n - i] = c
-        return UniPoly(out)
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([Rat(i) * c for i, c in enumerate(self.coeffs) if i > 0])
-
-    def low_degree(self) -> int:
-        """Smallest exponent with a nonzero coefficient, -1 for zero."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return -1
 
 
 _ZERO = UniPoly()

@@ -4,7 +4,7 @@ import random
 
 from dynwalk.numerics import Rat
 from dynwalk.poly import UniPoly
-from dynwalk.linalg import RatMatrix
+from dynwalk.linalg import PolyMatrix, RatMatrix
 from dynwalk.graph import DynGraph, EdgeBatch, EdgeOp, validate_and_apply
 from dynwalk.expander import TesterConfig
 
@@ -19,6 +19,13 @@ def rand_rat(rng, num_bound=9, den_bound=9):
 def rand_rat_matrix(rng, size, num_bound=9, den_bound=9):
     return RatMatrix(
         [[rand_rat(rng, num_bound, den_bound) for _ in range(size)] for _ in range(size)]
+    )
+
+
+def resolvent(a):
+    """The polynomial matrix I - xA of a RatMatrix A."""
+    return PolyMatrix.identity(a.nrows).add(
+        PolyMatrix.from_rational(a).scale_poly(-UniPoly.x())
     )
 
 
@@ -175,7 +182,7 @@ def vandermonde_inverse_norm(points):
             if k != i:
                 num = num * UniPoly([-xk, Rat(1)])
                 den *= xi - xk
-        bases.append(num.scale(1 / den))
+        bases.append(num * UniPoly.constant(1 / den))
     return max(
         sum(abs(b[j]) for b in bases) for j in range(len(points))
     )

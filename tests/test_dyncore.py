@@ -75,7 +75,7 @@ def test_bipartite_embed_scalar():
 
 def test_bipartite_embed_zero():
     b = bipartite_embed(PolyMatrix.zeros(2, 2))
-    assert b.mul(b).is_zero()
+    assert b.mul(b) == PolyMatrix.zeros(4, 4)
     assert b.rows[2][0] == UniPoly.one()
 
 
@@ -247,12 +247,11 @@ def portal_correction(
     ps, pt = p + q, p + q + 1
     zero = UniPoly.zero()
     rows = [[zero] * dim for _ in range(dim)]
-    xpoly = UniPoly.x()
     for i in range(p):
         for j in range(q):
             w = gadget.weights.rows[i][j]
             if w != 0:
-                rows[i][p + j] = xpoly.scale(w)
+                rows[i][p + j] = UniPoly([0, w])
     for j in range(q):
         for i in range(p):
             rows[p + j][i] = g.rows[gadget.u_out[j]][gadget.u_in[i]]

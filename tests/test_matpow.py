@@ -19,17 +19,11 @@ from dynwalk.oracle import det_bareiss, exact_power_sum
 from dynwalk.graph import DynGraph, lazy_transition
 from dynwalk.dyncore import apply_batch, bipartite_embed, state_from_graph
 
-from conftest import random_batch, random_graph, small_entry_matrix
+from conftest import random_batch, random_graph, resolvent, small_entry_matrix
 
 
 def poly_from(*coeffs):
     return UniPoly([Rat(c) for c in coeffs])
-
-
-def resolvent(a: RatMatrix) -> PolyMatrix:
-    return PolyMatrix.identity(a.nrows).sub(
-        PolyMatrix.from_rational(a).scale_poly(UniPoly.x())
-    )
 
 
 def admissible_poly_matrix(rng, size, deg):
@@ -108,12 +102,15 @@ def test_small_powers_match_naive_4x4():
 
 
 def test_det_series_reverses_to_charpoly():
+    """The table's charpoly(), the reversal of its det(I - uA) that
+    _grid_power_sum reduces by, is det(wI - A) of the integer matrix A."""
     rng = random.Random(607)
     for _ in range(10):
         size = rng.randint(1, 5)
         a = small_entry_matrix(rng, size)
         t = small_powers_via_series(a, size)
-        assert t.det_series.reversed_at(size) == linalg.charpoly(a)
+        ints = RatMatrix([[v * t.den for v in row] for row in a.rows])
+        assert UniPoly(t.charpoly()) == linalg.charpoly(ints)
 
 
 def test_power_table_steps_by_one_multiplication():
@@ -143,7 +140,12 @@ def test_convolution_identity_from_independent_routes():
             powers.append(powers[-1].mul(a))
         for s in range(size):
             for t in range(size):
-                cof = det_poly(res.minor(t, s))
+                minor = [
+                    [e for j, e in enumerate(row) if j != s]
+                    for i, row in enumerate(res.rows)
+                    if i != t
+                ]
+                cof = det_poly(PolyMatrix(minor))
                 if (s + t) % 2 == 1:
                     cof = -cof
                 for i in range(size + 1):
@@ -238,7 +240,8 @@ def test_power_sum_matches_untruncated_horner():
         acc = PolyMatrix.identity(3)
         for i in range(1, k + 1):
             acc = acc.add(naive_power(shifted, i))
-        assert power_sum(m, k) == acc.truncated(k)
+        cut = PolyMatrix([[e.truncated(k) for e in row] for row in acc.rows])
+        assert power_sum(m, k) == cut
 
 
 def test_power_sum_charpoly_route_agrees():
@@ -322,8 +325,10 @@ def test_power_sum_validation():
     m = PolyMatrix.identity(2)
     with pytest.raises(ValueError):
         power_sum(m, -1)
-    with pytest.raises(ValueError):
-        power_sum(m, 3, method="bogus")
+    # an unknown method is refused on every early return too
+    for mat, k in ((m, 3), (PolyMatrix.zeros(2, 2), 3), (m, 0)):
+        with pytest.raises(ValueError):
+            power_sum(mat, k, method="bogus")
     with pytest.raises(ValueError):
         power_sum(PolyMatrix([[poly_from(1), poly_from(0)]]), 2)
 
@@ -386,7 +391,7 @@ def test_integer_power_table_matches_rational_powers(n, data):
         assert table[i] == power
         assert table.powers[i] == [[v * den**i for v in row] for row in power.rows]
         power = power.mul(m)
-    assert table.det_series.reversed_at(n) == linalg.charpoly(m)
+    assert UniPoly(table.charpoly()) == linalg.charpoly(RatMatrix(a))
 
 
 def _poly_matrix_over(data, size, deg, den):

@@ -7,10 +7,7 @@ from dynwalk.numerics import (
     BudgetExhausted,
     PrecisionBudget,
     Rat,
-    bit_bound,
     format_rat,
-    is_b_approx,
-    make_rational,
     parse_rat,
     pow2,
     rat,
@@ -25,36 +22,6 @@ rationals = st.builds(
 bit_counts = st.integers(0, 48)
 
 
-def test_make_rational_normalizes():
-    assert make_rational(1, 2) == Rat(1, 2)
-    assert make_rational(2, 4) == Rat(1, 2)
-    r = make_rational(-3, 9)
-    assert (r.numerator, r.denominator) == (-1, 3)
-    # negative denominator folds the sign into the numerator
-    r = make_rational(3, -9)
-    assert (r.numerator, r.denominator) == (-1, 3)
-
-
-def test_make_rational_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        make_rational(1, 0)
-
-
-def test_bit_bound_values():
-    assert bit_bound(rat(1, 2)) == 1
-    assert bit_bound(rat(3, 7)) == 3
-    assert bit_bound(rat(3, 8)) == 3
-    assert bit_bound(rat(0)) == 0
-    assert bit_bound(rat(-3, 5)) == 3
-
-
-def test_bit_bound_rejects_unit_magnitude():
-    with pytest.raises(ValueError):
-        bit_bound(rat(1))
-    with pytest.raises(ValueError):
-        bit_bound(rat(-5, 4))
-
-
 def test_truncate_examples():
     assert truncate_to_bits(rat(1, 2), 3) == rat(1, 2)
     assert truncate_to_bits(rat(3, 7), 3) == rat(3, 8)
@@ -67,12 +34,6 @@ def test_truncate_examples():
 def test_truncate_rejects_negative_bits():
     with pytest.raises(ValueError):
         truncate_to_bits(rat(1, 2), -1)
-
-
-def test_is_b_approx_examples():
-    assert is_b_approx(rat(3, 8), rat(3, 7), 3)
-    assert is_b_approx(rat(5, 9), rat(5, 9), 30)
-    assert not is_b_approx(rat(0), rat(1, 2), 3)
 
 
 def test_pow2():
@@ -113,7 +74,7 @@ def test_truncate_idempotent(r, bits):
 
 @given(rationals, bit_counts)
 def test_truncate_is_b_approx(r, bits):
-    assert is_b_approx(truncate_to_bits(r, bits), r, bits)
+    assert abs(truncate_to_bits(r, bits) - r) <= Rat(1, 1 << bits)
 
 
 @given(rationals)
@@ -141,10 +102,6 @@ def test_budget_mechanics():
 def test_budget_refresh_and_copy():
     b = PrecisionBudget(64)
     b.spend(5)
-    fresh = b.refreshed()
-    assert fresh.bits_spent == 0
-    assert fresh.initial_bits == 64
-    assert b.bits_spent == 5
     dup = b.copy()
     dup.spend(1)
     assert b.bits_spent == 5

@@ -1,12 +1,15 @@
 """Brute-force reference implementations and the eigenvalue bracketer."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+from dynwalk import linalg, oracle, poly
 from dynwalk.numerics import Rat, rat
 from dynwalk.poly import UniPoly
-from dynwalk.linalg import PolyMatrix, RatMatrix, det_rational_crt
+from dynwalk.linalg import PolyMatrix, RatMatrix, charpoly, det_rational_crt
 from dynwalk.graph import DynGraph, lazy_transition
 from dynwalk.matpow import power_sum
 from dynwalk.oracle import (
@@ -26,6 +29,7 @@ from conftest import (
     matching_graph,
     rand_rat_matrix,
     random_graph,
+    random_regular_graph,
     two_cliques_bridged,
 )
 
@@ -152,6 +156,58 @@ def test_conductance_refusals():
         conductance_bruteforce(DynGraph.empty(21, 2))
     with pytest.raises(ValueError):
         conductance_bruteforce(DynGraph.empty(1, 1))
+
+
+# -- the oracle's own characteristic polynomial ----------------------------
+
+
+def test_trace_recurrence_charpoly_matches_linalg():
+    """Two independent routes to det(zI - T): the oracle's integer
+    Faddeev-LeVerrier recurrence, and linalg's determinants on a grid."""
+    rng = random.Random(805)
+    for n in range(1, 10):
+        # an integer matrix, then a rational one
+        for m in (rand_rat_matrix(rng, n, 20, 1), rand_rat_matrix(rng, n)):
+            assert oracle._charpoly(m) == charpoly(m)
+    for n in (4, 8, 12, 16, 20, 24):
+        t = lazy_transition(random_regular_graph(rng, n, 3))
+        assert oracle._charpoly(t) == charpoly(t)
+
+
+def test_oracle_imports_only_container_types():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+            assert not {"poly", "linalg", "matpow", "dyncore"} & set(names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            names = {alias.name for alias in node.names}
+            assert module not in ("matpow", "dyncore")
+            assert not {"poly", "linalg", "matpow", "dyncore"} & names
+            if module in ("poly", "linalg"):
+                assert names <= {"UniPoly", "PolyMatrix", "RatMatrix"}, names
+
+
+def test_eigenvalue_oracle_takes_no_kernel_of_the_power_machinery(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the eigenvalue oracle reached a power kernel")
+
+    for owner, name in (
+        (poly, "newton_ints"),
+        (poly, "interpolate"),
+        (poly, "series_inverse"),
+        (poly, "divide_monic"),
+        (linalg, "interpolate"),
+        (linalg, "det_poly"),
+        (linalg, "det_rational_crt"),
+        (linalg, "charpoly"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    t = lazy_transition(complete_bipartite(3, 3))
+    b = second_eigenvalue(t, rat(1, 1 << 10))
+    assert b.lower <= rat(1, 2) <= b.upper
+    assert eigencompare(t, rat(1, 2)) == 0
 
 
 # -- second eigenvalue ---------------------------------------------------------------
