@@ -36,9 +36,14 @@ structural zeros left out.
 The fold is local: R is nonzero only on the rows of F that reach an
 affected row and D only on the columns an affected column reaches (the
 J-hop balls around the batch), so the product is formed over those
-support rows and columns alone and added into them.  The new F and B
-replace only the rows they touch and share every other row list with the
-parent snapshot; nothing may mutate F.rows or B.rows in place.
+support rows and columns alone and added into them.  Every zero entry of
+F is the one shared zero polynomial, so the support is found by object
+identity in C-level scans, with no Python call per entry.  Besides F the
+state stores the n x n T, the matrix the batches edit; B is a view built
+from T on access, as G is from F.  The new F and T copy only the rows
+the gadget touches (F's support rows, T's rows with a delta) and share
+every other row list with the parent snapshot; nothing may mutate F.rows
+or T.rows in place.
 
 The from-scratch rebuild still runs the oracle's 2n x 2n power sum of B
 and reads F off its top-right block.  Building F straight from T would
@@ -57,6 +62,8 @@ gadgets changed, since every other entry is on the grid already
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress, count, repeat
+from operator import is_not, itemgetter
 
 from .numerics import (
     BudgetExhausted,
@@ -134,16 +141,18 @@ class DynState:
     """Snapshot of the maintained dynamic program.
 
     F is the stored state: the n x n matrix sum of (zT)^j for
-    j = 0..ceil(K/2), so F.rows[s][t][j] is the (s, t) entry of T^j.  B
-    is the 2n x 2n embedding of T, the matrix the batches edit.  G, the
-    2n x 2n sum of (xB)^i for i <= K, is not stored; the property builds
-    it from F on every access, for comparisons against the oracles.
+    j = 0..ceil(K/2), so F.rows[s][t][j] is the (s, t) entry of T^j.
+    Every zero entry of F is the shared ``UniPoly.zero()``.  T is the
+    n x n transition matrix, the matrix the batches edit.  Neither the
+    2n x 2n embedding B = [[0, T], [I, 0]] nor G, the 2n x 2n sum of
+    (xB)^i for i <= K, is stored; their properties build them from T and
+    F on every access, for comparisons against the oracles.
 
     Treated as immutable: every update operation returns a fresh state and
     never touches its input, so older snapshots stay valid (the muddled
     scheduler leans on this).  Successive snapshots share the row lists
-    of F and B that an update did not touch, so no one may mutate
-    F.rows or B.rows in place; build a new matrix instead.
+    of F and T that an update did not touch, so no one may mutate
+    F.rows or T.rows in place; build a new matrix instead.
     """
 
     n: int
@@ -152,7 +161,7 @@ class DynState:
     mode: str
     bits: int | None
     graph: DynGraph | None
-    B: PolyMatrix
+    T: RatMatrix
     F: PolyMatrix
     budget: PrecisionBudget | None
     version: int = 0
@@ -162,6 +171,11 @@ class DynState:
     @property
     def is_bits(self) -> bool:
         return self.mode == "bits"
+
+    @property
+    def B(self) -> PolyMatrix:
+        """The 2n x 2n embedding [[0, T], [I, 0]], built from T (not cached)."""
+        return bipartite_embed(PolyMatrix.from_rational(self.T))
 
     @property
     def G(self) -> PolyMatrix:
@@ -232,7 +246,8 @@ def state_from_matrix(
     """Dynamic state over an arbitrary square weight matrix (no graph).
 
     This is the raw engine entry point the tests use for weighted digraph
-    instances; graph-driven states go through state_from_graph.
+    instances; graph-driven states go through state_from_graph.  The
+    state keeps a itself as its T, so a must not be mutated afterwards.
     """
     if not a.is_square:
         raise ValueError("needs a square matrix")
@@ -259,7 +274,7 @@ def state_from_matrix(
         mode=mode,
         bits=bits,
         graph=None,
-        B=b,
+        T=a,
         F=f,
         budget=budget,
         cascade_threshold=cascade_threshold,
@@ -338,13 +353,18 @@ def build_delta_gadgets(state: DynState, entry_deltas) -> tuple:
     return minus, plus
 
 
-def _updated_embedding(b: PolyMatrix, deltas) -> PolyMatrix:
-    zero = UniPoly.zero()
+def _updated_transition(t: RatMatrix, deltas, n: int) -> RatMatrix:
+    """T with the B-coordinate deltas added, copying each touched row once."""
     touched = {}
     for r, c, delta in deltas:
-        row = touched.setdefault(r, list(b.rows[r]))
-        row[c] = row[c] + UniPoly.constant(delta) or zero
-    return b.with_rows(touched)
+        row = touched.setdefault(r, list(t.rows[r]))
+        row[c - n] += delta
+    return t.with_rows(touched)
+
+
+def _live(entries) -> compress:
+    """Positions of the entries that are not the shared zero, by a C-level scan."""
+    return compress(count(), map(is_not, entries, repeat(UniPoly.zero())))
 
 
 def _folded(e: UniPoly, corr, den: int) -> UniPoly:
@@ -359,7 +379,7 @@ def _folded(e: UniPoly, corr, den: int) -> UniPoly:
 
 
 def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
-    """Fold one gadget's correction into F and its deltas into B.
+    """Fold one gadget's correction into F and its deltas into T.
 
     With J = ceil(K/2) and the u_out slots shifted down by n to columns
     of T, the correction is R * zW * power_sum(C W, J) * D mod z^(J+1),
@@ -368,16 +388,19 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     u_in) and support columns (those some u_out reaches), so R is built
     over S, D over those columns, and the product is added into those
     entries alone; every other entry gets a zero correction, so the
-    result is exact.  Rows of F outside S and rows of B without a delta
-    are shared with the input state, never copied.
+    result is exact.  The support is read off by identity against the
+    shared zero; an entry that is zero but not that object only widens
+    it, which costs time but not exactness.  Rows of F outside S and
+    rows of T without a delta are shared with the input state, never
+    copied.
 
     Rat leaves at the block reads: R, C, D and the weights W each become
     integer coefficient lists over their own common denominator.  C*W,
-    the core power sum, W*z*core and R*P*D are integer products, the
-    denominators multiply alongside, and the correction is reduced to
-    its least common denominator.  Rat enters again in the fold, where
-    each changed coefficient of F becomes one Rat: old value plus
-    correction numerator over that denominator.
+    the core power sum, W*z*core and R*P*D are integer products and the
+    denominators multiply alongside.  Rat enters again in the fold, where
+    each changed coefficient of F becomes one Rat, old value plus
+    correction numerator over that denominator, and that Rat's own gcd
+    reduces it.
 
     The version token must match: gadgets encode which F their entries
     are meant to be read from, and applying against anything else would
@@ -394,8 +417,8 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     f = state.F.rows
     u_in = gadget.u_in
     u_out = [v - state.n for v in gadget.u_out]
-    support_rows = [s for s, row in enumerate(f) if any(row[u] for u in u_in)]
-    support_cols = sorted({t for v in u_out for t, e in enumerate(f[v]) if e})
+    support_rows = sorted(set().union(*(_live(map(itemgetter(u), f)) for u in u_in)))
+    support_cols = sorted(set().union(*(_live(f[v]) for v in u_out)))
     r_blk = ScaledMatrix.of_polys([[f[s][u] for u in u_in] for s in support_rows])
     c_blk = ScaledMatrix.of_polys([[f[v][u] for u in u_in] for v in u_out])
     d_blk = ScaledMatrix.of_polys([[f[v][t] for t in support_cols] for v in u_out])
@@ -406,7 +429,7 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
         method="charpoly" if gadget.size > state.cascade_threshold else "direct",
     )
     p_blk = w0.times_x(deg).mul(core, deg)
-    correction = r_blk.mul(p_blk, deg).mul(d_blk, deg).reduced()
+    correction = r_blk.mul(p_blk, deg).mul(d_blk, deg)
     den = correction.den
     # an entry the correction cancels goes back to the shared zero, so the
     # count of live zero objects in F does not grow as the graph churns
@@ -419,8 +442,8 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
                 row[t] = _folded(row[t], c, den) or zero
         touched[s] = row
     new_f = state.F.with_rows(touched)
-    new_b = _updated_embedding(state.B, gadget.deltas)
-    return replace(state, F=new_f, B=new_b, version=state.version + 1)
+    new_t = _updated_transition(state.T, gadget.deltas, state.n)
+    return replace(state, F=new_f, T=new_t, version=state.version + 1)
 
 
 def truncate_rows(
@@ -439,11 +462,13 @@ def truncate_rows(
     exactly the rows an update left alone, and a replaced row keeps the
     entry objects the update did not change, so after a local update only
     the entries it changed are rounded.  Without a source every entry is
-    rounded.
+    rounded.  An entry that rounds to zero becomes the shared zero, so
+    the fold's identity scans do not count it as support.
     """
+    zero = UniPoly.zero()
 
     def rounded(e):
-        return UniPoly.of_rats([truncate_to_bits(c, bits) for c in e.coeffs])
+        return UniPoly.of_rats([truncate_to_bits(c, bits) for c in e.coeffs]) or zero
 
     if source is None:
         return PolyMatrix([[rounded(e) for e in row] for row in m.rows])

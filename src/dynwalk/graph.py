@@ -69,11 +69,18 @@ class EdgeBatch:
 
 @dataclass
 class DynGraph:
-    """Undirected graph on vertices 0..n-1 with degree bound d."""
+    """Undirected graph on vertices 0..n-1 with degree bound d.
+
+    The constructor normalises and validates the edge set and counts the
+    degrees once, and ``degree`` reads that count, so neither the edge set
+    nor the count may be mutated in place; ``validate_and_apply`` builds
+    a new graph instead.
+    """
 
     n: int
     d: int
     adjacency: set = field(default_factory=set)
+    degrees: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -81,23 +88,30 @@ class DynGraph:
         if self.d < 1:
             raise ValueError("degree bound must be at least one")
         self.adjacency = {(min(u, v), max(u, v)) for (u, v) in self.adjacency}
-        degs = {}
+        self.degrees = degs = [0] * self.n
         for u, v in self.adjacency:
             if u == v:
                 raise ValueError("self-loops are not stored")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError("edge endpoint out of range")
-            degs[u] = degs.get(u, 0) + 1
-            degs[v] = degs.get(v, 0) + 1
-        if degs and max(degs.values()) > self.d:
+            degs[u] += 1
+            degs[v] += 1
+        if degs and max(degs) > self.d:
             raise ValueError("degree bound violated")
 
     @staticmethod
     def empty(n: int, d: int) -> "DynGraph":
         return DynGraph(n, d, set())
 
+    @staticmethod
+    def _unchecked(n: int, d: int, adjacency: set, degrees: list) -> "DynGraph":
+        """A graph over a normalised edge set and its degrees, as given."""
+        g = DynGraph.__new__(DynGraph)
+        g.n, g.d, g.adjacency, g.degrees = n, d, adjacency, degrees
+        return g
+
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.adjacency if v in e)
+        return self.degrees[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return _pair(u, v) in self.adjacency
@@ -106,7 +120,7 @@ class DynGraph:
         return sorted(self.adjacency)
 
     def copy(self) -> "DynGraph":
-        return DynGraph(self.n, self.d, set(self.adjacency))
+        return DynGraph._unchecked(self.n, self.d, set(self.adjacency), list(self.degrees))
 
 
 def lazy_transition(g: DynGraph) -> RatMatrix:
@@ -136,12 +150,14 @@ def validate_and_apply(g: DynGraph, batch: EdgeBatch):
     (row, col, delta) triples: inserting (u, v) adds 1/(2d) at (u, v) and
     (v, u) and subtracts 1/(2d) from both diagonal entries; deletion is the
     mirror image.  Ops that cancel within the batch produce no deltas.
+
+    Only the batch's vertices and edges are checked: the rest of the
+    graph was valid when it was built, so the new graph takes the edge
+    set and degree count of the old one with the batch's changes made,
+    and is not normalised or validated again.
     """
     adj = set(g.adjacency)
-    degs = {}
-    for u, v in adj:
-        degs[u] = degs.get(u, 0) + 1
-        degs[v] = degs.get(v, 0) + 1
+    degs = list(g.degrees)
     half = Rat(1, 2 * g.d)
     net = {}
 
@@ -161,13 +177,13 @@ def validate_and_apply(g: DynGraph, batch: EdgeBatch):
         if op.kind == "insert":
             if e in adj:
                 raise BatchRejected(i, f"edge ({e[0]}, {e[1]}) already present")
-            if degs.get(u, 0) >= g.d:
+            if degs[u] >= g.d:
                 raise BatchRejected(i, f"degree bound {g.d} hit at vertex {u}")
-            if degs.get(v, 0) >= g.d:
+            if degs[v] >= g.d:
                 raise BatchRejected(i, f"degree bound {g.d} hit at vertex {v}")
             adj.add(e)
-            degs[u] = degs.get(u, 0) + 1
-            degs[v] = degs.get(v, 0) + 1
+            degs[u] += 1
+            degs[v] += 1
             bump(u, v, half)
             bump(v, u, half)
             bump(u, u, -half)
@@ -183,6 +199,6 @@ def validate_and_apply(g: DynGraph, batch: EdgeBatch):
             bump(u, u, half)
             bump(v, v, half)
 
-    new_graph = DynGraph(g.n, g.d, adj)
+    new_graph = DynGraph._unchecked(g.n, g.d, adj, degs)
     deltas = {(r, c, delta) for (r, c), delta in net.items()}
     return new_graph, deltas

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 from .numerics import R0, R1, Rat
 from .poly import EvalGrid, IntPoly, UniPoly, interpolate
@@ -82,6 +81,25 @@ class RatMatrix:
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "RatMatrix":
         return RatMatrix([[R0] * ncols for _ in range(nrows)])
+
+    def with_rows(self, replacements):
+        """A copy with the rows in ``replacements`` (index -> list) swapped in.
+
+        Every other row list is shared with this matrix, not copied, so
+        neither matrix may have its rows mutated in place afterwards.
+        Only the replaced rows' indices and widths are checked; their
+        entries must already be of the matrix's entry type.
+        """
+        rows = list(self.rows)
+        for i, row in replacements.items():
+            if not 0 <= i < self.nrows:
+                raise ValueError(f"row {i} out of range")
+            if len(row) != self.ncols:
+                raise ValueError("ragged matrix")
+            rows[i] = row
+        out = type(self).__new__(type(self))
+        out.rows, out.nrows, out.ncols = rows, self.nrows, self.ncols
+        return out
 
     @property
     def is_square(self) -> bool:
@@ -173,26 +191,8 @@ class PolyMatrix:
             [[UniPoly.constant(v) if v else zero for v in row] for row in m.rows]
         )
 
-    def with_rows(self, replacements) -> "PolyMatrix":
-        """A copy with the rows in ``replacements`` (index -> list) swapped in.
-
-        Every other row list is shared with this matrix, not copied, so
-        neither matrix may have its rows mutated in place afterwards.
-        Only the replaced rows are checked (width and UniPoly entries);
-        the shared ones were checked when this matrix was built.
-        """
-        rows = list(self.rows)
-        for i, row in replacements.items():
-            if not 0 <= i < self.nrows:
-                raise ValueError(f"row {i} out of range")
-            if len(row) != self.ncols:
-                raise ValueError("ragged matrix")
-            if not all(map(isinstance, row, repeat(UniPoly))):
-                raise TypeError("row entries must be UniPoly")
-            rows[i] = row
-        out = PolyMatrix.__new__(PolyMatrix)
-        out.rows, out.nrows, out.ncols = rows, self.nrows, self.ncols
-        return out
+    # the same copy-on-write row swap as RatMatrix's
+    with_rows = RatMatrix.with_rows
 
     @property
     def is_square(self) -> bool:

@@ -40,9 +40,10 @@ def test_every_traced_binding_resolves(bench_modules):
         assert kind in ("span", "leaf")
 
 
-def test_traced_cascade_run_exits_clean():
+@pytest.mark.parametrize("workload", ["churn-exact", "muddled", "cascade"])
+def test_traced_run_exits_clean(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "cascade", "--seconds", "2", "--trace", "1"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "2", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,

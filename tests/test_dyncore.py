@@ -475,14 +475,20 @@ def _no_g_view(self):
     raise AssertionError("the 2n x 2n G view was built on the update or query path")
 
 
+def _no_b_view(self):
+    raise AssertionError("the 2n x 2n B view was built on the update or query path")
+
+
 def test_state_stores_only_the_half_size_f(monkeypatch):
-    assert "G" not in {f.name for f in dataclasses.fields(DynState)}
+    fields = {f.name for f in dataclasses.fields(DynState)}
+    assert "G" not in fields and "B" not in fields
     for k in range(1, 7):
         st = state_from_matrix(RatMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), k)
         assert (st.F.nrows, st.F.ncols) == (3, 3)
         # the 3-cycle has T^j != 0 for every j, so the bound is reached
         assert st.F.max_degree == (k + 1) // 2
     monkeypatch.setattr(DynState, "G", property(_no_g_view))
+    monkeypatch.setattr(DynState, "B", property(_no_b_view))
     n, k = 6, 5
     cfg = TesterConfig(Rat(1, 2), 2, 1)
     for mode, bits in (("exact", None), ("bits", 48)):
@@ -509,42 +515,64 @@ def test_update_shares_untouched_rows_and_leaves_the_old_snapshot_valid():
     path = {(i, i + 1) for i in range(7)} | {(8, 9), (9, 10), (10, 11)}
     old = state_from_graph(DynGraph(n, 2, frozenset(path)), k)
     f_before = [list(r) for r in old.F.rows]
-    b_before = [list(r) for r in old.B.rows]
+    t_before = [list(r) for r in old.T.rows]
     new = apply_batch(old, batch(("delete", 1, 2), ("insert", 0, 2)))
     assert new.G == fresh_oracle(new)
     assert [list(r) for r in old.F.rows] == f_before
-    assert [list(r) for r in old.B.rows] == b_before
+    assert [list(r) for r in old.T.rows] == t_before
     assert old.G == fresh_oracle(old)
     # the batch touches vertices 0, 1, 2; F holds powers of T up to
     # ceil(K/2) = 2, so vertices 5..11 are outside the 2-hop ball and
-    # their rows of F (and both copies' rows of B) must be shared, not copied
+    # their rows of F must be shared, not copied; T changes only in rows
+    # 0, 1, 2, so every other row of T is shared
     for v in range(5, n):
         assert new.F.rows[v] is old.F.rows[v]
-        for s in (v, n + v):
-            assert new.B.rows[s] is old.B.rows[s]
+    for v in range(3, n):
+        assert new.T.rows[v] is old.T.rows[v]
     # rows the batch touched are new lists; the old ones stay as they were
     for v in (0, 1, 2):
         assert new.F.rows[v] != f_before[v]
         assert new.F.rows[v] is not old.F.rows[v]
-        assert new.B.rows[v] is not old.B.rows[v]
+        assert new.T.rows[v] != t_before[v]
+        assert new.T.rows[v] is not old.T.rows[v]
+
+
+def _assert_zeros_shared(st):
+    zero = UniPoly.zero()
+    for m in (st.F, st.G, st.B):
+        assert all(e is zero for row in m.rows for e in row if not e)
 
 
 def test_zero_entries_share_one_object_as_the_graph_churns():
-    # deletions cancel entries of F and B; each must go back to the shared
-    # zero polynomial rather than leave a fresh zero object behind
+    # deletions cancel entries of F, and bits mode rounds small entries to
+    # zero; each must become the shared zero polynomial rather than leave a
+    # fresh zero object behind, or the fold's identity scans see support
     n, k = 12, 4
     path = {(i, i + 1) for i in range(n - 1)}
-    st = state_from_graph(DynGraph(n, 2, frozenset(path)), k)
-    zero = UniPoly.zero()
-    for ops in (
+    g = DynGraph(n, 2, frozenset(path))
+    ops_seq = (
         (("delete", 3, 4),),
         (("delete", 7, 8),),
         (("insert", 3, 4), ("delete", 0, 1)),
-    ):
-        st = apply_batch(st, batch(*ops))
-        assert st.G == fresh_oracle(st)
-        for m in (st.F, st.G, st.B):
-            assert all(e is zero for row in m.rows for e in row if not e)
+    )
+    # the first batch of a fresh bits state rounds every entry of F, the
+    # zero entries among them
+    for mode, bits in (("exact", None), ("bits", 32)):
+        st = state_from_graph(g, k, mode=mode, bits=bits)
+        for ops in ops_seq:
+            st = apply_batch(st, batch(*ops))
+            if mode == "exact":
+                assert st.G == fresh_oracle(st)
+            _assert_zeros_shared(st)
+    tl = MuddleTimeline(MuddleConfig(n, 2, k, 2, 32), g)
+    delivered = 0
+    for u, v in ((3, 4), (7, 8), (3, 4), (0, 1), (7, 8), (5, 6)):
+        present = tl.shadow.graph.has_edge(u, v)
+        tl.step(batch(("delete" if present else "insert", u, v)))
+        delivered += tl.trace[-1].delivered
+        _assert_zeros_shared(tl.served)
+        _assert_zeros_shared(tl.shadow)
+    assert delivered
 
 
 # -- property tests against the oracles --------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from dynwalk.numerics import Rat, rat
 from dynwalk.linalg import RatMatrix
@@ -177,3 +178,65 @@ def test_deltas_reproduce_the_new_transition_matrix():
         for r, c, delta in deltas:
             rows[r][c] += delta
         assert RatMatrix(rows) == lazy_transition(new)
+
+
+def _recount(g, v):
+    return sum(1 for e in g.adjacency if v in e)
+
+
+def _reference_apply(g, ops):
+    """The edge set after ops, or the index of the first bad op (recounted degrees)."""
+    adj = set(g.edges())
+    for i, (kind, u, v) in enumerate(ops):
+        e = (min(u, v), max(u, v))
+        if u == v or not (0 <= u < g.n and 0 <= v < g.n):
+            return i
+        if kind == "insert":
+            full = any(sum(1 for f in adj if w in f) >= g.d for w in (u, v))
+            if e in adj or full:
+                return i
+            adj.add(e)
+        else:
+            if e not in adj:
+                return i
+            adj.remove(e)
+    return adj
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hst.integers(2, 8),
+    hst.integers(1, 3),
+    hst.randoms(use_true_random=False),
+    hst.lists(
+        hst.lists(
+            hst.tuples(hst.sampled_from(["insert", "delete"]), hst.integers(0, 8), hst.integers(0, 8)),
+            max_size=5,
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_property_update_by_delta_matches_a_validated_rebuild(n, d, rng, batches):
+    g = random_graph(rng, n, d, fill=rng.random())
+    for ops in batches:
+        # most ops stay in range, so that many batches are accepted
+        ops = [(k, u % n, v % n) if rng.random() < 0.9 else (k, u, v) for k, u, v in ops]
+        want = _reference_apply(g, ops)
+        edges, degrees = g.edges(), [g.degree(v) for v in range(n)]
+        b = batch(*ops)
+        if isinstance(want, int):
+            with pytest.raises(BatchRejected) as exc:
+                validate_and_apply(g, b)
+            assert exc.value.index == want
+            assert g.edges() == edges
+            assert [g.degree(v) for v in range(n)] == degrees
+            continue
+        new, _ = validate_and_apply(g, b)
+        assert new.adjacency == want
+        assert new == DynGraph(n, d, new.adjacency)
+        assert all(new.degree(v) == _recount(new, v) for v in range(n))
+        # the old graph is untouched
+        assert g.edges() == edges
+        assert [g.degree(v) for v in range(n)] == degrees
+        g = new

@@ -89,17 +89,25 @@ def test_with_rows_leaves_the_source_unchanged():
 
 
 def test_with_rows_rejects_bad_rows():
-    a = _three_rows()
-    with pytest.raises(ValueError, match="ragged"):
-        a.with_rows({1: [UniPoly.one()] * 2})
-    with pytest.raises(ValueError, match="ragged"):
-        a.with_rows({1: [UniPoly.one()] * 4})
-    with pytest.raises(TypeError, match="UniPoly"):
-        a.with_rows({1: [UniPoly.one(), rat(1, 2), UniPoly.one()]})
-    with pytest.raises(ValueError, match="out of range"):
-        a.with_rows({3: [UniPoly.one()] * 3})
-    with pytest.raises(ValueError, match="out of range"):
-        a.with_rows({-1: [UniPoly.one()] * 3})
+    # only a replaced row's index and width are checked, on both kinds
+    for a, e in ((_three_rows(), UniPoly.one()), (RatMatrix.identity(3), rat(1, 2))):
+        with pytest.raises(ValueError, match="ragged"):
+            a.with_rows({1: [e] * 2})
+        with pytest.raises(ValueError, match="ragged"):
+            a.with_rows({1: [e] * 4})
+        with pytest.raises(ValueError, match="out of range"):
+            a.with_rows({3: [e] * 3})
+        with pytest.raises(ValueError, match="out of range"):
+            a.with_rows({-1: [e] * 3})
+
+
+def test_rat_with_rows_shares_the_rest():
+    a = RatMatrix([[1, 2], [3, 4]])
+    b = a.with_rows({0: [rat(1, 2), Rat(0)]})
+    assert type(b) is RatMatrix
+    assert b == RatMatrix([[rat(1, 2), 0], [3, 4]])
+    assert b.rows[1] is a.rows[1]
+    assert a == RatMatrix([[1, 2], [3, 4]])
 
 
 def test_from_rat_rows_equals_the_coercing_build():
