@@ -13,25 +13,25 @@ its diagonal blocks are F(x^2) cut at degree K, its top-right block
 holds x^(2j-1) T^j and its bottom-left block x^(2j+1) T^j.  Every
 coefficient of G is a coefficient of F or a structural zero.
 
-Batch changes to T (the top-right block of B) are split into their
-negative and positive entry deltas, and each half becomes a delta gadget
-over the affected rows u_in and columns u_out.  With T' = T + U W V for
-the delta weights W, where U holds the identity columns u_in and V the
-identity rows u_out, the Woodbury identity in z = x^2 gives
+A batch of changes to T (the top-right block of B) becomes one delta
+gadget over the affected rows u_in and columns u_out.  With T' = T + U W V
+for the signed delta weights W, where U holds the identity columns u_in
+and V the identity rows u_out, the Woodbury identity in z = x^2 gives
 
     F' = F + F[:, u_in] * zW * (I + zCW + (zCW)^2 + ...) * F[u_out, :],
 
-mod z^(J+1), where C = F[u_out, u_in].  Written R for F[:, u_in] and D
-for F[u_out, :], that is three small matrix products around one
-truncated power sum.  All of it runs on integers: the blocks R, C, D
-read off F and the weights W each become integer coefficient lists over
-one common denominator (``linalg.ScaledMatrix``), the products and
-``matpow.power_sum`` on either route stay in integers, and Rat comes
-back only when a corrected coefficient is added into F, once per
-coefficient.  F itself stays a matrix of Rat polynomials.  The same
-formula run on the 2n x 2n G in x gives, block by block, the view of the
-F-space result for any F at all, so folding F is folding G with its
-structural zeros left out.
+mod z^(J+1), where C = F[u_out, u_in].  The identity holds for any W,
+so a batch's insertions and deletions fold together in one correction.
+Written R for F[:, u_in] and D for F[u_out, :], that is three small
+matrix products around one truncated power sum.  All of it runs on
+integers: the blocks R, C, D read off F and the weights W each become
+integer coefficient lists over one common denominator
+(``linalg.ScaledMatrix``), the products and ``matpow.power_sum`` on
+either route stay in integers, and Rat comes back only when a corrected
+coefficient is added into F, once per coefficient.  F itself stays a
+matrix of Rat polynomials.  The same formula run on the 2n x 2n G in x
+gives, block by block, the view of the F-space result for any F at all,
+so folding F is folding G with its structural zeros left out.
 
 The fold is local: R is nonzero only on the rows of F that reach an
 affected row and D only on the columns an affected column reaches (the
@@ -55,7 +55,7 @@ Exact mode keeps F coefficient-identical to a from-scratch recomputation.
 Bits mode charges the precision budget one bit per batch and keeps F on
 the 2^-b grid: the first batch of a fresh bits state rounds every
 coefficient to b bits, and each later batch rounds only the entries its
-gadgets changed, since every other entry is on the grid already
+gadget changed, since every other entry is on the grid already
 (truncate_rows).  Rounding F rounds every coefficient of G.
 """
 
@@ -109,19 +109,17 @@ class StaleGadgetError(Exception):
 
 @dataclass(frozen=True)
 class DeltaGadget:
-    """One sign's worth of a batch, as a correction gadget.
+    """A batch of entry deltas, as one correction gadget.
 
     u_in holds the affected rows of B (first-copy vertices), u_out the
     affected columns (second-copy slots), both sorted.  weights is the
     |u_in| x |u_out| block of signed entry deltas; its z-scaled form is the
     only part of the gadget fixed at build time.  The remaining gadget
     entries are rows and columns of F and are read off the state at apply
-    time, which is what expected_version pins down: the minus gadget of a
-    batch expects the pre-batch version and the plus gadget expects the
-    version after the minus gadget has landed.
+    time, which is what expected_version pins down: it is the version of
+    the state the gadget was built against.
     """
 
-    sigma: str
     u_in: tuple
     u_out: tuple
     weights: RatMatrix
@@ -310,17 +308,17 @@ def initial_state(
 
 
 def build_delta_gadgets(state: DynState, entry_deltas) -> tuple:
-    """Split entry deltas by sign into the two gadgets of a batch.
+    """The batch's gadgets: one DeltaGadget over every nonzero delta, as a 1-tuple.
 
     entry_deltas are (row, col, delta) triples in B coordinates and must
     lie in the top-right block; anything else is a contract violation.
-    Negative deltas populate the minus gadget, positive the plus gadget.
-    The minus gadget is built against the current version and the plus
-    gadget against the version the minus application will produce, since
-    its F-dependent entries must be read after deletions have landed.
+    Deltas of both signs share the gadget as signed weights, and it is
+    built against the current version.  The tuple keeps working callers
+    that iterate over a batch's gadgets, such as the benchmark's route
+    check.
     """
     n = state.n
-    by_sign = {"-": [], "+": []}
+    triples = []
     for row, col, delta in entry_deltas:
         delta = Rat(delta)
         if delta == 0:
@@ -329,28 +327,22 @@ def build_delta_gadgets(state: DynState, entry_deltas) -> tuple:
             raise ValueError(
                 f"delta at ({row}, {col}) is outside the top-right block"
             )
-        by_sign["-" if delta < 0 else "+"].append((row, col, delta))
-
-    def make(sigma: str, triples, expected_version: int) -> DeltaGadget:
-        u_in = tuple(sorted({r for r, _, _ in triples}))
-        u_out = tuple(sorted({c for _, c, _ in triples}))
-        pos = {u: i for i, u in enumerate(u_in)}
-        qos = {v: j for j, v in enumerate(u_out)}
-        w = [[R0] * len(u_out) for _ in u_in]
-        for r, c, delta in triples:
-            w[pos[r]][qos[c]] += delta
-        return DeltaGadget(
-            sigma=sigma,
-            u_in=u_in,
-            u_out=u_out,
-            weights=RatMatrix(w) if u_in else RatMatrix.zeros(0, 0),
-            deltas=tuple(sorted(triples)),
-            expected_version=expected_version,
-        )
-
-    minus = make("-", by_sign["-"], state.version)
-    plus = make("+", by_sign["+"], state.version + 1)
-    return minus, plus
+        triples.append((row, col, delta))
+    u_in = tuple(sorted({r for r, _, _ in triples}))
+    u_out = tuple(sorted({c for _, c, _ in triples}))
+    pos = {u: i for i, u in enumerate(u_in)}
+    qos = {v: j for j, v in enumerate(u_out)}
+    w = [[R0] * len(u_out) for _ in u_in]
+    for r, c, delta in triples:
+        w[pos[r]][qos[c]] += delta
+    gadget = DeltaGadget(
+        u_in=u_in,
+        u_out=u_out,
+        weights=RatMatrix(w) if u_in else RatMatrix.zeros(0, 0),
+        deltas=tuple(sorted(triples)),
+        expected_version=state.version,
+    )
+    return (gadget,)
 
 
 def _updated_transition(t: RatMatrix, deltas, n: int) -> RatMatrix:
@@ -482,19 +474,17 @@ def truncate_rows(
 
 
 def apply_entry_deltas(state: DynState, entry_deltas) -> DynState:
-    """Run one batch of raw B entry deltas through both gadgets.
+    """Fold one batch of raw B entry deltas into the state as one gadget.
 
-    Deletions land first: negative deltas, then positive, per the two-step
-    correction order.  In bits mode the budget is charged one bit and the
-    result is put back on the 2^-b grid.  A state that has spent a bit
-    already holds an F on that grid (it came from a truncating batch or a
-    muddled delivery), and rounding is idempotent there, so only the
-    entries the gadgets changed are rounded; a fresh bits state, whose F
-    is still exact, has every coefficient rounded.
+    In bits mode the budget is charged one bit and the result is put back
+    on the 2^-b grid.  A state that has spent a bit already holds an F on
+    that grid (it came from a truncating batch or a muddled delivery), and
+    rounding is idempotent there, so only the entries the gadget changed
+    are rounded; a fresh bits state, whose F is still exact, has every
+    coefficient rounded.
     """
-    minus, plus = build_delta_gadgets(state, entry_deltas)
-    st = apply_gadget(state, minus)
-    st = apply_gadget(st, plus)
+    (gadget,) = build_delta_gadgets(state, entry_deltas)
+    st = apply_gadget(state, gadget)
     if state.is_bits:
         st.budget = state.budget.copy()
         st.budget.spend(1)

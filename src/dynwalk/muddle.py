@@ -30,12 +30,7 @@ from dataclasses import dataclass, replace
 # bench/layers.py wraps muddle.truncate_to_bits by name
 from .numerics import PrecisionBudget, truncate_to_bits  # noqa: F401
 from .graph import DynGraph, EdgeBatch
-from .dyncore import (
-    DEFAULT_CASCADE_THRESHOLD,
-    apply_batch,
-    state_from_graph,
-    truncate_rows,
-)
+from .dyncore import apply_batch, state_from_graph, truncate_rows
 
 __all__ = ["MuddleConfig", "MuddleJob", "TraceRow", "AccountingRow", "MuddleTimeline"]
 
@@ -47,7 +42,6 @@ class MuddleConfig:
     K: int
     L: int
     bits: int
-    cascade_threshold: int = DEFAULT_CASCADE_THRESHOLD
 
     def __post_init__(self):
         if self.L < 0:
@@ -121,9 +115,7 @@ class MuddleTimeline:
         if graph.n != config.n or graph.d != config.d:
             raise ValueError("graph shape disagrees with the configuration")
         self.clock = 0
-        self.shadow = state_from_graph(
-            graph, config.K, cascade_threshold=config.cascade_threshold
-        )
+        self.shadow = state_from_graph(graph, config.K)
         self.served = replace(
             self.shadow,
             mode="bits",

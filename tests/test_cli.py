@@ -214,8 +214,8 @@ def test_trace_lines_direct_mode():
         "query entry 0 0 1\n"
     )
     assert t.lines == (
-        "trace: step=1 version=2 spent=1",
-        "trace: step=2 version=4 spent=2",
+        "trace: step=1 version=1 spent=1",
+        "trace: step=2 version=2 spent=2",
         "entry: 1/1",
     )
 

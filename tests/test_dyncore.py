@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from dynwalk import matpow
+from dynwalk import dyncore, matpow
 from dynwalk.numerics import BudgetExhausted, Rat, pow2, rat, truncate_to_bits
 from dynwalk.poly import UniPoly
 from dynwalk.linalg import PolyMatrix, RatMatrix
@@ -129,41 +129,41 @@ def test_state_mode_validation():
 
 def test_empty_deltas_make_empty_gadgets():
     st = initial_state(2, 1, 4)
-    minus, plus = build_delta_gadgets(st, set())
-    assert minus.is_empty() and plus.is_empty()
-    st2 = apply_gadget(apply_gadget(st, minus), plus)
+    (gadget,) = build_delta_gadgets(st, set())
+    assert gadget.is_empty()
+    st2 = apply_gadget(st, gadget)
     assert st2.G == st.G
-    assert st2.version == st.version + 2
+    assert st2.version == st.version + 1
 
 
-def test_single_insert_populates_only_plus():
+def test_single_insert_makes_one_gadget():
     st = state_from_matrix(RatMatrix.zeros(2, 2), 4)
-    minus, plus = build_delta_gadgets(st, {(0, 3, rat(1, 2))})
-    assert minus.is_empty()
-    assert not plus.is_empty()
-    assert plus.u_in == (0,)
-    assert plus.u_out == (3,)
-    assert plus.weights == RatMatrix([[rat(1, 2)]])
-    assert plus.sigma == "+"
-    assert minus.expected_version == st.version
-    assert plus.expected_version == st.version + 1
-    assert plus.size == 2
+    (gadget,) = build_delta_gadgets(st, {(0, 3, rat(1, 2))})
+    assert not gadget.is_empty()
+    assert gadget.u_in == (0,)
+    assert gadget.u_out == (3,)
+    assert gadget.weights == RatMatrix([[rat(1, 2)]])
+    assert gadget.expected_version == st.version
+    assert gadget.size == 2
 
 
-def test_mixed_signs_split_disjointly():
+def test_mixed_signs_share_one_gadget():
     st = initial_state(4, 2, 4)
-    deltas = {(0, 5, rat(1, 4)), (1, 4, rat(1, 4)), (0, 4, rat(-1, 4)), (1, 5, rat(-1, 4))}
-    minus, plus = build_delta_gadgets(st, deltas)
-    assert {(r, c) for r, c, _ in minus.deltas} == {(0, 4), (1, 5)}
-    assert {(r, c) for r, c, _ in plus.deltas} == {(0, 5), (1, 4)}
-    assert all(d < 0 for _, _, d in minus.deltas)
-    assert all(d > 0 for _, _, d in plus.deltas)
+    deltas = {(0, 6, rat(1, 4)), (1, 4, rat(1, 4)), (0, 4, rat(-1, 4)), (1, 5, rat(-1, 4))}
+    (gadget,) = build_delta_gadgets(st, deltas)
+    assert gadget.u_in == (0, 1)
+    assert gadget.u_out == (4, 5, 6)
+    assert gadget.weights == RatMatrix(
+        [[rat(-1, 4), rat(0), rat(1, 4)], [rat(1, 4), rat(-1, 4), rat(0)]]
+    )
+    assert gadget.deltas == tuple(sorted(deltas))
+    assert gadget.expected_version == st.version
 
 
 def test_zero_deltas_are_dropped():
     st = initial_state(2, 1, 4)
-    minus, plus = build_delta_gadgets(st, {(0, 3, rat(0))})
-    assert minus.is_empty() and plus.is_empty()
+    (gadget,) = build_delta_gadgets(st, {(0, 3, rat(0))})
+    assert gadget.is_empty()
 
 
 def test_deltas_outside_top_right_block_rejected():
@@ -175,12 +175,15 @@ def test_deltas_outside_top_right_block_rejected():
 
 def test_stale_gadget_rejected():
     st = initial_state(2, 1, 4)
-    minus, plus = build_delta_gadgets(st, {(0, 3, rat(1, 2)), (1, 2, rat(-1, 4))})
+    (gadget,) = build_delta_gadgets(st, {(0, 3, rat(1, 2)), (1, 2, rat(-1, 4))})
+    once = apply_gadget(st, gadget)
     with pytest.raises(StaleGadgetError, match="version"):
-        apply_gadget(st, plus)
-    mid = apply_gadget(st, minus)
-    with pytest.raises(StaleGadgetError):
-        apply_gadget(mid, minus)
+        apply_gadget(once, gadget)
+    (later,) = build_delta_gadgets(once, {(1, 3, rat(1, 4))})
+    with pytest.raises(StaleGadgetError, match="version"):
+        apply_gadget(apply_gadget(once, later), gadget)
+    with pytest.raises(StaleGadgetError, match="version"):
+        apply_gadget(st, later)
 
 
 # -- single-gadget semantics ---------------------------------------------------------
@@ -206,7 +209,7 @@ def test_delete_then_reinsert_restores_exactly():
     st3 = apply_batch(st2, batch(("insert", *edge)))
     assert st3.G == st.G
     assert st3.B == st.B
-    assert st3.version == st.version + 4
+    assert st3.version == st.version + 2
     assert st3.step_count == st.step_count + 2
 
 
@@ -271,25 +274,21 @@ def portal_correction(
 
 
 def test_fast_path_equals_portal_construction():
+    """One gadget carrying both signs folds to the portal reference."""
     rng = random.Random(904)
-    g = random_graph(rng, 3, 2, fill=0.7)
-    st = state_from_graph(g, 6)
-    b = random_batch(rng, g, 2)
-    from dynwalk.graph import validate_and_apply
-
-    _, tdeltas = validate_and_apply(g, b)
-    bdeltas = [(r, 3 + c, d) for (r, c, d) in tdeltas]
-    minus, plus = build_delta_gadgets(st, bdeltas)
-    mid = apply_gadget(st, minus)
-    for s in range(6):
-        for t in range(6):
-            want = st.G.rows[s][t] + portal_correction(st.G, minus, s, t, st.K)
-            assert mid.G.rows[s][t] == want
-    done = apply_gadget(mid, plus)
-    for s in range(6):
-        for t in range(6):
-            want = mid.G.rows[s][t] + portal_correction(mid.G, plus, s, t, st.K)
-            assert done.G.rows[s][t] == want
+    for _ in range(5):
+        g = random_graph(rng, 3, 2, fill=0.7)
+        st = state_from_graph(g, 6)
+        _, tdeltas = validate_and_apply(g, random_batch(rng, g, 2))
+        if not tdeltas:  # a delete and re-insert of one edge cancel out
+            continue
+        (gadget,) = build_delta_gadgets(st, [(r, 3 + c, d) for (r, c, d) in tdeltas])
+        assert {w > 0 for row in gadget.weights.rows for w in row if w} == {False, True}
+        done = apply_gadget(st, gadget)
+        for s in range(6):
+            for t in range(6):
+                want = st.G.rows[s][t] + portal_correction(st.G, gadget, s, t, st.K)
+                assert done.G.rows[s][t] == want
 
 
 def test_portal_power_horizon_is_stable():
@@ -299,12 +298,8 @@ def test_portal_power_horizon_is_stable():
     g = random_graph(rng, 3, 2, fill=0.7)
     st = state_from_graph(g, 4)
     b = random_batch(rng, g, 2)
-    from dynwalk.graph import validate_and_apply
-
     _, tdeltas = validate_and_apply(g, b)
-    bdeltas = [(r, 3 + c, d) for (r, c, d) in tdeltas]
-    minus, plus = build_delta_gadgets(st, bdeltas)
-    gadget = plus if not plus.is_empty() else minus
+    (gadget,) = build_delta_gadgets(st, [(r, 3 + c, d) for (r, c, d) in tdeltas])
     k = st.K
     for s, t in ((0, 0), (0, 4), (2, 5), (1, 1)):
         base = portal_correction(st.G, gadget, s, t, k)
@@ -312,6 +307,34 @@ def test_portal_power_horizon_is_stable():
 
 
 # -- batch-level behavior --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "threshold,route", [(4, "charpoly"), (DEFAULT_CASCADE_THRESHOLD, "direct")]
+)
+def test_churn_batch_folds_as_one_gadget(monkeypatch, threshold, route):
+    """A delete plus an insert on four distinct vertices, the shape of every
+    benchmark churn batch, is one gadget of size 8: it takes the cascade
+    route at threshold 4 and the direct route at the default."""
+    sizes, methods = [], []
+    real_apply, real_power_sum = apply_gadget, matpow.power_sum
+
+    def counting_apply(state, gadget):
+        sizes.append(gadget.size)
+        return real_apply(state, gadget)
+
+    def recording_power_sum(mat, k, method="direct"):
+        methods.append(method)
+        return real_power_sum(mat, k, method)
+
+    monkeypatch.setattr(dyncore, "apply_gadget", counting_apply)
+    monkeypatch.setattr(matpow, "power_sum", recording_power_sum)
+    st = state_from_graph(DynGraph(6, 2, {(0, 1), (2, 4)}), 4, cascade_threshold=threshold)
+    st2 = apply_batch(st, batch(("delete", 0, 1), ("insert", 2, 3)))
+    assert sizes == [8]
+    assert methods == [route]
+    assert st2.version == st.version + 1
+    assert st2.G == exact_power_sum(st2.B, 4)
 
 
 def test_single_edge_readout():
@@ -623,13 +646,13 @@ def test_property_cascade_route_matches_oracles(n, d, k, rng):
 
 
 def _bits_fold_reference(state, batch):
-    """G after one bits-mode batch by definition: both gadgets, then every coefficient truncated."""
+    """G after one bits-mode batch by definition: the gadget, then every coefficient truncated."""
     if len(batch) == 0:
         return state.G
     n = state.n
     _, tdeltas = validate_and_apply(state.graph, batch)
-    minus, plus = build_delta_gadgets(state, [(r, n + c, dl) for r, c, dl in tdeltas])
-    st = apply_gadget(apply_gadget(state, minus), plus)
+    (gadget,) = build_delta_gadgets(state, [(r, n + c, dl) for r, c, dl in tdeltas])
+    st = apply_gadget(state, gadget)
     return PolyMatrix(
         [
             [UniPoly([truncate_to_bits(c, state.bits) for c in e.coeffs]) for e in row]
