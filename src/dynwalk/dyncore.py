@@ -33,17 +33,21 @@ matrix of Rat polynomials.  The same formula run on the 2n x 2n G in x
 gives, block by block, the view of the F-space result for any F at all,
 so folding F is folding G with its structural zeros left out.
 
-The fold is local: R is nonzero only on the rows of F that reach an
-affected row and D only on the columns an affected column reaches (the
-J-hop balls around the batch), so the product is formed over those
-support rows and columns alone and added into them.  Every zero entry of
-F is the one shared zero polynomial, so the support is found by object
-identity in C-level scans, with no Python call per entry.  Besides F the
-state stores the n x n T, the matrix the batches edit; B is a view built
-from T on access, as G is from F.  The new F and T copy only the rows
-the gadget touches (F's support rows, T's rows with a delta) and share
-every other row list with the parent snapshot; nothing may mutate F.rows
-or T.rows in place.
+The fold is local.  The middle factor zW * (...) carries a factor z, so
+only R, D and the power sum mod z^J reach F' mod z^(J+1), and that power
+sum reads C only mod z^(J-1).  R mod z^J is nonzero only on the rows of F
+that reach an affected row within J - 1 steps, and D mod z^J only on the
+columns an affected column reaches within J - 1 steps (the (J-1)-hop
+balls around the batch), so the product is formed over those support
+rows and columns alone and added into them.  Every zero entry of F is
+the one shared zero polynomial, so the candidates are found by object
+identity in C-level scans, with no Python call per entry, and the
+support is the candidates whose entries the cut leaves nonzero.  Besides
+F the state stores the n x n T, the matrix the batches edit; B is a view
+built from T on access, as G is from F.  The new F and T copy only the
+rows the gadget changes (F's rows with a nonzero correction, T's rows
+with a delta) and share every other row list with the parent snapshot;
+nothing may mutate F.rows or T.rows in place.
 
 The from-scratch rebuild still runs the oracle's 2n x 2n power sum of B
 and reads F off its top-right block.  Building F straight from T would
@@ -72,7 +76,7 @@ from .numerics import (
     Rat,
     truncate_to_bits,
 )
-from .poly import UniPoly
+from .poly import IntPoly, UniPoly
 from .linalg import PolyMatrix, RatMatrix, ScaledMatrix
 from . import matpow
 from .graph import DynGraph, EdgeBatch, lazy_transition, validate_and_apply
@@ -374,20 +378,25 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     """Fold one gadget's correction into F and its deltas into T.
 
     With J = ceil(K/2) and the u_out slots shifted down by n to columns
-    of T, the correction is R * zW * power_sum(C W, J) * D mod z^(J+1),
-    where R = F[:, u_in], C = F[u_out, u_in] and D = F[u_out, :].  It is
-    nonzero only on the support rows S (those whose F-row reaches some
-    u_in) and support columns (those some u_out reaches), so R is built
-    over S, D over those columns, and the product is added into those
-    entries alone; every other entry gets a zero correction, so the
-    result is exact.  The support is read off by identity against the
-    shared zero; an entry that is zero but not that object only widens
-    it, which costs time but not exactness.  Rows of F outside S and
-    rows of T without a delta are shared with the input state, never
-    copied.
+    of T, the correction is R * P * D mod z^(J+1) for P = zW * S, where
+    R = F[:, u_in], C = F[u_out, u_in], D = F[u_out, :] and
+    S = power_sum(C W, J) is the sum of (zCW)^i.  The factor z of P means
+    only R, D and S mod z^J reach F, and S mod z^J is
+    power_sum(C W, J - 1) with C cut mod z^(J-1); at J = 1 it is the
+    identity.  R and D are read cut mod z^J.  The candidate rows (those
+    whose F-row has a live entry at some u_in) and columns (live in
+    some u_out row of F) are found by identity against the shared zero;
+    the support rows S and columns are the candidates whose cut entries
+    are not all zero, the (J-1)-hop balls for a lazy walk.  Every other
+    row has R = 0 mod z^J, and so a zero correction, for any T and any
+    signed W, so R is built over S, D over those columns, and the
+    product is added into those entries alone; the result is exact.  A
+    row of F gets a new list only if some entry of it changes; every
+    other row of F, and every row of T without a delta, is shared with
+    the input state, never copied.
 
-    Rat leaves at the block reads: R, C, D and the weights W each become
-    integer coefficient lists over their own common denominator.  C*W,
+    Rat leaves at the block reads: the cut R, C, D and the weights W each
+    become integer coefficient lists over their own common denominator.  C*W,
     the core power sum, W*z*core and R*P*D are integer products and the
     denominators multiply alongside.  Rat enters again in the fold, where
     each changed coefficient of F becomes one Rat, old value plus
@@ -409,30 +418,39 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     f = state.F.rows
     u_in = gadget.u_in
     u_out = [v - state.n for v in gadget.u_out]
-    support_rows = sorted(set().union(*(_live(map(itemgetter(u), f)) for u in u_in)))
-    support_cols = sorted(set().union(*(_live(f[v]) for v in u_out)))
-    r_blk = ScaledMatrix.of_polys([[f[s][u] for u in u_in] for s in support_rows])
-    c_blk = ScaledMatrix.of_polys([[f[v][u] for u in u_in] for v in u_out])
-    d_blk = ScaledMatrix.of_polys([[f[v][t] for t in support_cols] for v in u_out])
-    w0 = ScaledMatrix.of_polys(PolyMatrix.from_rational(gadget.weights).rows)
+    # candidates by identity; the support is those whose entries are
+    # nonzero mod z^J, the only part of R and D that reaches F
+    rows = sorted(set().union(*(_live(map(itemgetter(u), f)) for u in u_in)))
+    cols = sorted(set().union(*(_live(f[v]) for v in u_out)))
+    r_cut = ScaledMatrix.of_polys([[f[s][u] for u in u_in] for s in rows], deg - 1)
+    d_cut = ScaledMatrix.of_polys([[f[v][t] for t in cols] for v in u_out], deg - 1)
+    live_rows, live_cols = list(map(any, r_cut.rows)), list(map(any, zip(*d_cut.rows)))
+    support_rows = list(compress(rows, live_rows))
+    support_cols = list(compress(cols, live_cols))
+    r_blk = ScaledMatrix(list(compress(r_cut.rows, live_rows)), r_cut.den)
+    d_blk = ScaledMatrix([list(compress(r, live_cols)) for r in d_cut.rows], d_cut.den)
+    c_blk = ScaledMatrix.of_polys([[f[v][u] for u in u_in] for v in u_out], deg - 2)
+    w = ScaledMatrix.of_rats(gadget.weights.rows)
+    w0 = ScaledMatrix([[IntPoly((v,)) for v in row] for row in w.rows], w.den)
     core = matpow.power_sum(
-        c_blk.mul(w0, deg),
-        deg,
+        c_blk.mul(w0, deg - 2),
+        deg - 1,
         method="charpoly" if gadget.size > state.cascade_threshold else "direct",
     )
     p_blk = w0.times_x(deg).mul(core, deg)
     correction = r_blk.mul(p_blk, deg).mul(d_blk, deg)
     den = correction.den
     # an entry the correction cancels goes back to the shared zero, so the
-    # count of live zero objects in F does not grow as the graph churns
+    # count of live zero objects in F does not grow as the graph churns;
+    # a row whose correction is zero stays shared
     zero = UniPoly.zero()
     touched = {}
     for s, crow in zip(support_rows, correction.rows):
-        row = list(f[s])
-        for t, c in zip(support_cols, crow):
-            if c:
-                row[t] = _folded(row[t], c, den) or zero
-        touched[s] = row
+        if any(crow):
+            row = touched[s] = list(f[s])
+            for t, c in zip(support_cols, crow):
+                if c:
+                    row[t] = _folded(row[t], c, den) or zero
     new_f = state.F.with_rows(touched)
     new_t = _updated_transition(state.T, gadget.deltas, state.n)
     return replace(state, F=new_f, T=new_t, version=state.version + 1)

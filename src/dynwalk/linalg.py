@@ -290,23 +290,25 @@ class ScaledMatrix:
         )
 
     @staticmethod
-    def of_polys(rows) -> "ScaledMatrix":
-        """Rows of UniPoly as IntPoly entries over their common denominator.
+    def of_polys(rows, trunc: int) -> "ScaledMatrix":
+        """Rows of UniPoly cut mod x^(trunc+1), as IntPoly entries over one denominator.
 
-        Zero entries all share the one empty IntPoly.
+        The common denominator clears only the coefficients the cut keeps.
+        Zero entries, and entries the cut leaves zero, all share the one
+        empty IntPoly.
         """
-        den = math.lcm(
-            *(c.denominator for row in rows for e in row for c in e.coeffs)
-        )
+        top = max(trunc + 1, 0)
+        cut = [[e.coeffs[:top] for e in row] for row in rows]
+        den = math.lcm(*(c.denominator for row in cut for e in row for c in e))
         return ScaledMatrix(
             [
                 [
-                    IntPoly([c.numerator * (den // c.denominator) for c in e.coeffs])
-                    if e.coeffs
+                    IntPoly([c.numerator * (den // c.denominator) for c in e]) or _EMPTY
+                    if e
                     else _EMPTY
                     for e in row
                 ]
-                for row in rows
+                for row in cut
             ],
             den,
         )

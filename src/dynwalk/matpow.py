@@ -290,7 +290,7 @@ def power_large(mat: PolyMatrix, k: int) -> PolyMatrix:
         raise ValueError("empty matrix")
     if k < 1:
         raise ValueError("power must be at least one")
-    scaled = ScaledMatrix.of_polys(mat.rows)
+    scaled = ScaledMatrix.of_polys(mat.rows, mat.max_degree)
     for row in scaled.rows:
         for e in row:
             if e and abs(e[0]) * 3 * n > scaled.den:
@@ -332,7 +332,7 @@ def power_sum(mat, k: int, method: str = "direct"):
     if method not in ("direct", "charpoly"):
         raise ValueError(f"unknown power_sum method {method!r}")
     if isinstance(mat, PolyMatrix):
-        return power_sum(ScaledMatrix.of_polys(mat.rows), k, method).to_poly()
+        return power_sum(ScaledMatrix.of_polys(mat.rows, k - 1), k, method).to_poly()
     n = mat.nrows
     if any(len(row) != n for row in mat.rows):
         raise ValueError("power sum of a non-square matrix")

@@ -310,31 +310,41 @@ def test_portal_power_horizon_is_stable():
 
 
 @pytest.mark.parametrize(
-    "threshold,route", [(4, "charpoly"), (DEFAULT_CASCADE_THRESHOLD, "direct")]
+    "threshold,route,k",
+    [
+        pytest.param(4, "charpoly", 4, id="4-charpoly"),
+        pytest.param(DEFAULT_CASCADE_THRESHOLD, "direct", 4, id="12-direct"),
+        pytest.param(4, "charpoly", 2, id="4-charpoly-K2"),
+        pytest.param(DEFAULT_CASCADE_THRESHOLD, "direct", 2, id="12-direct-K2"),
+    ],
 )
-def test_churn_batch_folds_as_one_gadget(monkeypatch, threshold, route):
+def test_churn_batch_folds_as_one_gadget(monkeypatch, threshold, route, k):
     """A delete plus an insert on four distinct vertices, the shape of every
     benchmark churn batch, is one gadget of size 8: it takes the cascade
-    route at threshold 4 and the direct route at the default."""
-    sizes, methods = [], []
+    route at threshold 4 and the direct route at the default.  The core
+    power sum runs to J - 1 for J = ceil(K/2), since the correction
+    carries a factor z; at K = 2 the core is the identity."""
+    sizes, methods, degrees = [], [], []
     real_apply, real_power_sum = apply_gadget, matpow.power_sum
 
     def counting_apply(state, gadget):
         sizes.append(gadget.size)
         return real_apply(state, gadget)
 
-    def recording_power_sum(mat, k, method="direct"):
+    def recording_power_sum(mat, deg, method="direct"):
         methods.append(method)
-        return real_power_sum(mat, k, method)
+        degrees.append(deg)
+        return real_power_sum(mat, deg, method)
 
     monkeypatch.setattr(dyncore, "apply_gadget", counting_apply)
     monkeypatch.setattr(matpow, "power_sum", recording_power_sum)
-    st = state_from_graph(DynGraph(6, 2, {(0, 1), (2, 4)}), 4, cascade_threshold=threshold)
+    st = state_from_graph(DynGraph(6, 2, {(0, 1), (2, 4)}), k, cascade_threshold=threshold)
     st2 = apply_batch(st, batch(("delete", 0, 1), ("insert", 2, 3)))
     assert sizes == [8]
     assert methods == [route]
+    assert degrees == [(k + 1) // 2 - 1]
     assert st2.version == st.version + 1
-    assert st2.G == exact_power_sum(st2.B, 4)
+    assert st2.G == exact_power_sum(st2.B, k)
 
 
 def test_single_edge_readout():
@@ -545,10 +555,12 @@ def test_update_shares_untouched_rows_and_leaves_the_old_snapshot_valid():
     assert [list(r) for r in old.T.rows] == t_before
     assert old.G == fresh_oracle(old)
     # the batch touches vertices 0, 1, 2; F holds powers of T up to
-    # ceil(K/2) = 2, so vertices 5..11 are outside the 2-hop ball and
-    # their rows of F must be shared, not copied; T changes only in rows
-    # 0, 1, 2, so every other row of T is shared
-    for v in range(5, n):
+    # J = ceil(K/2) = 2, and the correction carries a factor z, so only
+    # rows within J - 1 = 1 hop of the batch change: vertices 4..11 are
+    # outside that ball and their rows of F must be shared, not copied
+    # (vertex 3 is one hop from 2); T changes only in rows 0, 1, 2, so
+    # every other row of T is shared
+    for v in range(4, n):
         assert new.F.rows[v] is old.F.rows[v]
     for v in range(3, n):
         assert new.T.rows[v] is old.T.rows[v]
@@ -558,6 +570,21 @@ def test_update_shares_untouched_rows_and_leaves_the_old_snapshot_valid():
         assert new.F.rows[v] is not old.F.rows[v]
         assert new.T.rows[v] != t_before[v]
         assert new.T.rows[v] is not old.T.rows[v]
+
+
+def test_a_support_row_with_a_zero_correction_stays_shared():
+    # row 0 reaches rows 1 and 2 with equal weight, and the batch adds to
+    # column 3 from row 1 what it takes away from row 2, so row 0 is in
+    # the support but its correction F[0, u_in] * W vanishes: its row list
+    # must be shared, not copied
+    h, n = rat(1, 2), 4
+    t = RatMatrix([[0, h, h, 0], [0, h, 0, h], [0, 0, h, h], [0, 0, 0, 1]])
+    old = state_from_matrix(t, 4)
+    new = apply_entry_deltas(old, [(1, n + 3, rat(1, 4)), (2, n + 3, rat(-1, 4))])
+    assert new.G == fresh_oracle(new)
+    assert new.F.rows[0] is old.F.rows[0]
+    for v in (1, 2):
+        assert new.F.rows[v] != old.F.rows[v]
 
 
 def _assert_zeros_shared(st):

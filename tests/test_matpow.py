@@ -417,7 +417,7 @@ def test_power_sum_routes_agree_on_2_64_denominators(size, deg, k, data):
     want = exact_power_sum(m, k)
     assert power_sum(m, k, method="charpoly") == want
     assert power_sum(m, k, method="direct") == want
-    scaled = power_sum(ScaledMatrix.of_polys(m.rows), k, method="charpoly")
+    scaled = power_sum(ScaledMatrix.of_polys(m.rows, m.max_degree), k, method="charpoly")
     assert scaled.to_poly() == want
 
 
@@ -439,9 +439,12 @@ def test_scaled_products_match_poly_products(r, inner, c, k, data):
         )
 
     a, b = block(r, inner), block(inner, c)
-    sa, sb = ScaledMatrix.of_polys(a.rows), ScaledMatrix.of_polys(b.rows)
+    sa, sb = ScaledMatrix.of_polys(a.rows, k + 1), ScaledMatrix.of_polys(b.rows, k + 1)
     assert sa.mul(sb, k).to_poly() == a.mul(b, trunc=k)
     assert sa.mul(sb, k).reduced().to_poly() == a.mul(b, trunc=k)
+    # a product cut mod x^(k+1) reads its factors only mod x^(k+1)
+    ca, cb = ScaledMatrix.of_polys(a.rows, k), ScaledMatrix.of_polys(b.rows, k)
+    assert ca.mul(cb, k).to_poly() == a.mul(b, trunc=k)
     b2 = block(r, inner)
-    assert sa.add(ScaledMatrix.of_polys(b2.rows)).to_poly() == a.add(b2)
+    assert sa.add(ScaledMatrix.of_polys(b2.rows, k + 1)).to_poly() == a.add(b2)
     assert sa.times_x(k).to_poly() == a.scale_poly(UniPoly.x(), trunc=k)
