@@ -13,6 +13,11 @@ its diagonal blocks are F(x^2) cut at degree K, its top-right block
 holds x^(2j-1) T^j and its bottom-left block x^(2j+1) T^j.  Every
 coefficient of G is a coefficient of F or a structural zero.
 
+F is stored packed, one Python int per entry whose slot j holds
+m delta^j F[s][t][j] for a common denominator delta of T and a scale m
+(``packed``), and every update runs on those ints; Rat appears only at
+readout and in the F and G views.
+
 A batch of changes to T (the top-right block of B) becomes one delta
 gadget over the affected rows u_in and columns u_out.  With T' = T + U W V
 for the signed delta weights W, where U holds the identity columns u_in
@@ -23,15 +28,10 @@ and V the identity rows u_out, the Woodbury identity in z = x^2 gives
 mod z^(J+1), where C = F[u_out, u_in].  The identity holds for any W,
 so a batch's insertions and deletions fold together in one correction.
 Written R for F[:, u_in] and D for F[u_out, :], that is three small
-matrix products around one truncated power sum.  All of it runs on
-integers: the blocks R, C, D read off F and the weights W each become
-integer coefficient lists over one common denominator
-(``linalg.ScaledMatrix``), the products and ``matpow.power_sum`` on
-either route stay in integers, and Rat comes back only when a corrected
-coefficient is added into F, once per coefficient.  F itself stays a
-matrix of Rat polynomials.  The same formula run on the 2n x 2n G in x
-gives, block by block, the view of the F-space result for any F at all,
-so folding F is folding G with its structural zeros left out.
+matrix products around one truncated power sum.  Substituting z by
+delta z turns it into the same identity on the packed digits with the
+integer weights delta W, so the whole fold runs on packed ints; only
+the low J + 1 slots of the correction are decoded and added in.
 
 The fold is local.  The middle factor zW * (...) carries a factor z, so
 only R, D and the power sum mod z^J reach F' mod z^(J+1), and that power
@@ -39,37 +39,39 @@ sum reads C only mod z^(J-1).  R mod z^J is nonzero only on the rows of F
 that reach an affected row within J - 1 steps, and D mod z^J only on the
 columns an affected column reaches within J - 1 steps (the (J-1)-hop
 balls around the batch), so the product is formed over those support
-rows and columns alone and added into them.  Every zero entry of F is
-the one shared zero polynomial, so the candidates are found by object
-identity in C-level scans, with no Python call per entry, and the
-support is the candidates whose entries the cut leaves nonzero.  Besides
-F the state stores the n x n T, the matrix the batches edit; B is a view
-built from T on access, as G is from F.  The new F and T copy only the
-rows the gadget changes (F's rows with a nonzero correction, T's rows
-with a delta) and share every other row list with the parent snapshot;
-nothing may mutate F.rows or T.rows in place.
+rows and columns alone and added into them.  The candidates are the
+nonzero entries of the affected columns and rows, found by C-level
+truthiness scans, and the support is the candidates whose cut entries
+are nonzero.  Besides F the state stores the n x n T, the matrix the
+batches edit; B is a view built from T on access, as G is from F.  The
+new F and T copy only the rows the gadget changes (F's rows with a
+nonzero correction, T's rows with a delta) and share every other row
+list with the parent snapshot; nothing may mutate stored rows in place.
 
-The from-scratch rebuild still runs the oracle's 2n x 2n power sum of B
-and reads F off its top-right block.  Building F straight from T would
-be several times cheaper, but the benchmark gates the ratio of fold time
-to this rebuild's time, which a faster rebuild would raise; that change
-waits for the ratio to be redefined.
+The from-scratch rebuild still runs the oracle's 2n x 2n power sum of B,
+reads F off its top-right block and packs it.  Building F straight from
+T would be several times cheaper, but the benchmark gates the ratio of
+fold time to this rebuild's time, which a faster rebuild would raise;
+that change waits for the ratio to be redefined.
 
 Exact mode keeps F coefficient-identical to a from-scratch recomputation.
 Bits mode charges the precision budget one bit per batch and keeps F on
 the 2^-b grid: the first batch of a fresh bits state rounds every
-coefficient to b bits, and each later batch rounds only the entries its
-gadget changed, since every other entry is on the grid already
-(truncate_rows).  Rounding F rounds every coefficient of G.
+coefficient to b bits (m goes from 1 to 2^b), and each later batch
+rounds only the entries its gadget changed, since every other entry is
+on the grid already.  Rounding F rounds every coefficient of G.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from itertools import compress, count, repeat
-from operator import is_not, itemgetter
+from itertools import compress, count
+from operator import itemgetter, mul
 
-from .numerics import (
+# truncate_to_bits is unused here but stays bound: the layer tracer in
+# bench/layers.py wraps dyncore.truncate_to_bits by name
+from .numerics import (  # noqa: F401
     BudgetExhausted,
     PrecisionBudget,
     R0,
@@ -78,6 +80,18 @@ from .numerics import (
 )
 from .poly import IntPoly, UniPoly
 from .linalg import PolyMatrix, RatMatrix, ScaledMatrix
+from .packed import (
+    PackedF,
+    coefficient,
+    cut,
+    digits,
+    on_grid,
+    pack,
+    refit,
+    truncate_rows,
+    unpacked,
+    width_for,
+)
 from . import matpow
 from .graph import DynGraph, EdgeBatch, lazy_transition, validate_and_apply
 from .oracle import exact_power_sum
@@ -117,11 +131,11 @@ class DeltaGadget:
 
     u_in holds the affected rows of B (first-copy vertices), u_out the
     affected columns (second-copy slots), both sorted.  weights is the
-    |u_in| x |u_out| block of signed entry deltas; its z-scaled form is the
-    only part of the gadget fixed at build time.  The remaining gadget
-    entries are rows and columns of F and are read off the state at apply
-    time, which is what expected_version pins down: it is the version of
-    the state the gadget was built against.
+    |u_in| x |u_out| block of signed entry deltas, and t_rows maps each
+    row of T with a delta to that row after the deltas.  The remaining
+    gadget entries are rows and columns of F and are read off the state
+    at apply time, which is what expected_version pins down: it is the
+    version of the state the gadget was built against.
     """
 
     u_in: tuple
@@ -129,6 +143,7 @@ class DeltaGadget:
     weights: RatMatrix
     deltas: tuple
     expected_version: int
+    t_rows: dict
 
     @property
     def size(self) -> int:
@@ -142,19 +157,20 @@ class DeltaGadget:
 class DynState:
     """Snapshot of the maintained dynamic program.
 
-    F is the stored state: the n x n matrix sum of (zT)^j for
-    j = 0..ceil(K/2), so F.rows[s][t][j] is the (s, t) entry of T^j.
-    Every zero entry of F is the shared ``UniPoly.zero()``.  T is the
-    n x n transition matrix, the matrix the batches edit.  Neither the
-    2n x 2n embedding B = [[0, T], [I, 0]] nor G, the 2n x 2n sum of
-    (xB)^i for i <= K, is stored; their properties build them from T and
-    F on every access, for comparisons against the oracles.
+    P is the stored state: the n x n matrix F = sum of (zT)^j for
+    j = 0..ceil(K/2), packed one int per entry (see PackedF), so the
+    digit j of P.rows[s][t] is the (s, t) entry of T^j times
+    P.scale * P.den^j.  T is the n x n transition matrix, the matrix
+    the batches edit.  F as Rat polynomials, the 2n x 2n embedding
+    B = [[0, T], [I, 0]] and G, the 2n x 2n sum of (xB)^i for i <= K,
+    are not stored; their properties build them on every access, for
+    comparisons against the oracles.
 
     Treated as immutable: every update operation returns a fresh state and
     never touches its input, so older snapshots stay valid (the muddled
     scheduler leans on this).  Successive snapshots share the row lists
-    of F and T that an update did not touch, so no one may mutate
-    F.rows or T.rows in place; build a new matrix instead.
+    of P and T that an update did not touch, so no one may mutate
+    P.rows or T.rows in place; build a new matrix instead.
     """
 
     n: int
@@ -164,7 +180,7 @@ class DynState:
     bits: int | None
     graph: DynGraph | None
     T: RatMatrix
-    F: PolyMatrix
+    P: PackedF
     budget: PrecisionBudget | None
     version: int = 0
     step_count: int = 0
@@ -173,6 +189,11 @@ class DynState:
     @property
     def is_bits(self) -> bool:
         return self.mode == "bits"
+
+    @property
+    def F(self) -> PolyMatrix:
+        """The n x n sum of (zT)^j, j <= ceil(K/2), unpacked from P (not cached)."""
+        return unpacked(self.P)
 
     @property
     def B(self) -> PolyMatrix:
@@ -238,6 +259,50 @@ def _validate_mode(mode: str, bits: int | None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _scaled_abs(v, den: int) -> int:
+    """|den * v| for a Rat v whose denominator divides den."""
+    return abs(v.numerator) * (den // v.denominator)
+
+
+def _build(a: RatMatrix, k, mode, bits, cascade_threshold, den: int) -> DynState:
+    """The from-scratch state over a, with den a multiple of every denominator of a."""
+    if not a.is_square:
+        raise ValueError("needs a square matrix")
+    if k < 1:
+        raise ValueError("truncation degree must be at least one")
+    budget = _validate_mode(mode, bits)
+    b = bipartite_embed(PolyMatrix.from_rational(a))
+    g = exact_power_sum(b, k).rows
+    n, slots = a.nrows, (k + 1) // 2 + 1
+    norms = [sum(_scaled_abs(v, den) for v in filter(None, row)) for row in a.rows]
+    w = width_for(1, max(norms, default=0), den, slots)
+    # T^j is the x^(2j-1) coefficient of the top-right block for j >= 1,
+    # and T^0 = I
+    slot = [(den**j, w * j) for j in range(1, slots)]
+    rows = []
+    for s in range(n):
+        row = [
+            sum((c.numerator * (dj // c.denominator)) << shift
+                for c, (dj, shift) in zip(e.coeffs[1::2], slot) if c)
+            if e else 0
+            for e in g[s][n:]
+        ]
+        row[s] += 1
+        rows.append(row)
+    return DynState(
+        n=n,
+        d=0,
+        K=k,
+        mode=mode,
+        bits=bits,
+        graph=None,
+        T=a,
+        P=PackedF(rows, w, den, 1, norms, slots),
+        budget=budget,
+        cascade_threshold=cascade_threshold,
+    )
+
+
 def state_from_matrix(
     a: RatMatrix,
     k: int,
@@ -250,37 +315,10 @@ def state_from_matrix(
     This is the raw engine entry point the tests use for weighted digraph
     instances; graph-driven states go through state_from_graph.  The
     state keeps a itself as its T, so a must not be mutated afterwards.
+    Its packing denominator is the lcm of a's denominators.
     """
-    if not a.is_square:
-        raise ValueError("needs a square matrix")
-    if k < 1:
-        raise ValueError("truncation degree must be at least one")
-    budget = _validate_mode(mode, bits)
-    b = bipartite_embed(PolyMatrix.from_rational(a))
-    g = exact_power_sum(b, k).rows
-    # T^j is the x^(2j-1) coefficient of the top-right block for j >= 1
-    n, zero = a.nrows, UniPoly.zero()
-    f = PolyMatrix(
-        [
-            [
-                UniPoly.of_rats([g[s][t][0], *g[s][n + t].coeffs[1::2]]) or zero
-                for t in range(n)
-            ]
-            for s in range(n)
-        ]
-    )
-    return DynState(
-        n=n,
-        d=0,
-        K=k,
-        mode=mode,
-        bits=bits,
-        graph=None,
-        T=a,
-        F=f,
-        budget=budget,
-        cascade_threshold=cascade_threshold,
-    )
+    den = math.lcm(*(v.denominator for row in a.rows for v in row))
+    return _build(a, k, mode, bits, cascade_threshold, den)
 
 
 def state_from_graph(
@@ -290,9 +328,13 @@ def state_from_graph(
     bits: int | None = None,
     cascade_threshold: int = DEFAULT_CASCADE_THRESHOLD,
 ) -> DynState:
-    """Dynamic state maintaining the lazy walk of an existing graph."""
-    st = state_from_matrix(
-        lazy_transition(graph), k, mode, bits, cascade_threshold
+    """Dynamic state maintaining the lazy walk of an existing graph.
+
+    Its packing denominator is 2d, which every lazy walk under the
+    degree bound shares, so no batch ever repacks it.
+    """
+    st = _build(
+        lazy_transition(graph), k, mode, bits, cascade_threshold, 2 * graph.d
     )
     st.graph = graph.copy()
     st.d = graph.d
@@ -317,9 +359,9 @@ def build_delta_gadgets(state: DynState, entry_deltas) -> tuple:
     entry_deltas are (row, col, delta) triples in B coordinates and must
     lie in the top-right block; anything else is a contract violation.
     Deltas of both signs share the gadget as signed weights, and it is
-    built against the current version.  The tuple keeps working callers
-    that iterate over a batch's gadgets, such as the benchmark's route
-    check.
+    built against the current version, whose T it updates.  The tuple
+    keeps working callers that iterate over a batch's gadgets, such as
+    the benchmark's route check.
     """
     n = state.n
     triples = []
@@ -337,75 +379,103 @@ def build_delta_gadgets(state: DynState, entry_deltas) -> tuple:
     pos = {u: i for i, u in enumerate(u_in)}
     qos = {v: j for j, v in enumerate(u_out)}
     w = [[R0] * len(u_out) for _ in u_in]
+    t_rows = {}
     for r, c, delta in triples:
         w[pos[r]][qos[c]] += delta
+        t_rows.setdefault(r, list(state.T.rows[r]))[c - n] += delta
     gadget = DeltaGadget(
         u_in=u_in,
         u_out=u_out,
-        weights=RatMatrix(w) if u_in else RatMatrix.zeros(0, 0),
+        weights=RatMatrix.from_rat_rows(w),
         deltas=tuple(sorted(triples)),
         expected_version=state.version,
+        t_rows=t_rows,
     )
     return (gadget,)
 
 
-def _updated_transition(t: RatMatrix, deltas, n: int) -> RatMatrix:
-    """T with the B-coordinate deltas added, copying each touched row once."""
-    touched = {}
-    for r, c, delta in deltas:
-        row = touched.setdefault(r, list(t.rows[r]))
-        row[c - n] += delta
-    return t.with_rows(touched)
+def _fitted(p: PackedF, t: RatMatrix, gadget: DeltaGadget) -> PackedF:
+    """p with its den and row norms after the gadget, repacked if it outgrows them.
+
+    Graph states never repack: their denominator is 2d and their norms
+    stay 2d.
+    """
+    den = math.lcm(p.den, *(d.denominator for _, _, d in gadget.deltas))
+    up, n = den // p.den, len(p.rows)
+    norms = [v * up for v in p.norms]
+    for r, c in {(r, c - n) for r, c, _ in gadget.deltas}:
+        norms[r] += _scaled_abs(gadget.t_rows[r][c], den) - _scaled_abs(t.rows[r][c], den)
+    return refit(p, den, norms)
 
 
-def _live(entries) -> compress:
-    """Positions of the entries that are not the shared zero, by a C-level scan."""
-    return compress(count(), map(is_not, entries, repeat(UniPoly.zero())))
+def _packed_power_sum(x, terms: int, scale: int, mask: int) -> list:
+    """The sum of X^i scale^(terms - i) for i = 0..terms, mod mask + 1, by Horner.
+
+    x is a square matrix of packed ints; mask + 1 is a power of two.
+    """
+    acc = [[int(a == b) for b in range(len(x))] for a in range(len(x))]
+    for i in range(1, terms + 1):
+        cols = list(zip(*acc))
+        acc = [[sum(map(mul, xrow, col)) & mask for col in cols] for xrow in x]
+        for a, row in enumerate(acc):
+            row[a] = (row[a] + scale**i) & mask
+    return acc
 
 
-def _folded(e: UniPoly, corr, den: int) -> UniPoly:
-    """e + corr/den for integer coefficients corr: one Rat per changed coefficient."""
-    coeffs = list(e.coeffs)
-    coeffs += [R0] * (len(corr) - len(coeffs))
-    for j, v in enumerate(corr):
-        if v:
-            a = coeffs[j]
-            coeffs[j] = Rat(a.numerator * den + v * a.denominator, a.denominator * den)
-    return UniPoly.of_rats(coeffs)
+def _core(c_cut, wts, p: PackedF, cascade: bool) -> list:
+    """The core power sum S_m = sum of (yCW)^i m^(J-1-i), i < J, mod y^J.
+
+    c_cut is C cut mod y^(J-1) and wts the integer weights delta W; m is
+    the state's scale.  The direct route runs on packed ints.  The
+    cascade route unpacks C into IntPoly entries over m and runs
+    ``matpow.power_sum`` on the charpoly route, which returns
+    sum of (zCW/m)^i over some denominator dividing m^(J-1), then packs
+    m^(J-1) times that back.
+    """
+    w, m, k = p.width, p.scale, p.slots - 1
+    mask = (1 << (w * k)) - 1
+    if not cascade:
+        # yCW', mod y^J
+        wcols = list(zip(*wts))
+        x = [[(sum(map(mul, crow, wc)) << w) & mask for wc in wcols] for crow in c_cut]
+        return _packed_power_sum(x, k - 1, m, mask)
+    c = ScaledMatrix([[IntPoly(digits(e, w, k - 1)) for e in row] for row in c_cut], m)
+    wm = ScaledMatrix([[IntPoly((v,)) for v in row] for row in wts])
+    s = matpow.power_sum(c.mul(wm, k - 2), k - 1, method="charpoly")
+    lift = m ** (k - 1) // s.den
+    return [[pack([v * lift for v in e], w) & mask for e in row] for row in s.rows]
 
 
 def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     """Fold one gadget's correction into F and its deltas into T.
 
-    With J = ceil(K/2) and the u_out slots shifted down by n to columns
-    of T, the correction is R * P * D mod z^(J+1) for P = zW * S, where
-    R = F[:, u_in], C = F[u_out, u_in], D = F[u_out, :] and
-    S = power_sum(C W, J) is the sum of (zCW)^i.  The factor z of P means
-    only R, D and S mod z^J reach F, and S mod z^J is
-    power_sum(C W, J - 1) with C cut mod z^(J-1); at J = 1 it is the
-    identity.  R and D are read cut mod z^J.  The candidate rows (those
-    whose F-row has a live entry at some u_in) and columns (live in
-    some u_out row of F) are found by identity against the shared zero;
-    the support rows S and columns are the candidates whose cut entries
-    are not all zero, the (J-1)-hop balls for a lazy walk.  Every other
-    row has R = 0 mod z^J, and so a zero correction, for any T and any
-    signed W, so R is built over S, D over those columns, and the
-    product is added into those entries alone; the result is exact.  A
-    row of F gets a new list only if some entry of it changes; every
-    other row of F, and every row of T without a delta, is shared with
-    the input state, never copied.
+    With J = ceil(K/2), y = 2^w the packed stand-in for z and the u_out
+    slots shifted down by n to columns of T, the correction to the
+    digits is R * yW' * S * D mod y^(J+1), where W' = delta W is the
+    integer weight block, R = P[:, u_in], C = P[u_out, u_in],
+    D = P[u_out, :] and S = sum of (yCW')^i for i < J.  R and D are cut
+    mod y^J and C mod y^(J-1) by bias and mask, and S is kept mod
+    2^(wJ), since only the low slots of the result are read.  The
+    support (see the module docstring) is the candidates of C-level
+    truthiness scans whose cut entries are not all zero.  The packed
+    correction V[s][t] is the dot product of row s of R * yW'S with
+    column t of D; its low J + 1 slots, decoded by bias and mask, are
+    the true change of the digits, and the junk above them is dropped.
+    A row of P gets a new list only if some entry of it changes; every
+    other row of P, and every row of T without a delta, is shared with
+    the input state.
 
-    Rat leaves at the block reads: the cut R, C, D and the weights W each
-    become integer coefficient lists over their own common denominator.  C*W,
-    the core power sum, W*z*core and R*P*D are integer products and the
-    denominators multiply alongside.  Rat enters again in the fold, where
-    each changed coefficient of F becomes one Rat, old value plus
-    correction numerator over that denominator, and that Rat's own gcd
-    reduces it.
+    On a state with scale m = 2^b (a bits state on its grid) the core
+    is S_m = sum of (yCW')^i m^(J-1-i), which makes the low slots of V
+    m^J times the change of the digits, and each changed digit is
+    rounded back to the grid: H'_j = round((H_j m^J + V_j) / (m^J
+    delta^j)) delta^j, to nearest with ties toward zero.  No Rat is
+    built on either scale.
 
-    The version token must match: gadgets encode which F their entries
-    are meant to be read from, and applying against anything else would
-    silently compute garbage.
+    A gadget that brings a new denominator, or a row norm past the slot
+    width, repacks every entry first.  The version token must match:
+    gadgets encode which F their entries are meant to be read from, and
+    applying against anything else would silently compute garbage.
     """
     if gadget.expected_version != state.version:
         raise StaleGadgetError(
@@ -414,102 +484,65 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
         )
     if gadget.is_empty():
         return replace(state, version=state.version + 1)
-    deg = (state.K + 1) // 2
-    f = state.F.rows
+    p = _fitted(state.P, state.T, gadget)
+    f, w, slots = p.rows, p.width, p.slots
+    k = slots - 1
     u_in = gadget.u_in
     u_out = [v - state.n for v in gadget.u_out]
-    # candidates by identity; the support is those whose entries are
-    # nonzero mod z^J, the only part of R and D that reaches F
-    rows = sorted(set().union(*(_live(map(itemgetter(u), f)) for u in u_in)))
-    cols = sorted(set().union(*(_live(f[v]) for v in u_out)))
-    r_cut = ScaledMatrix.of_polys([[f[s][u] for u in u_in] for s in rows], deg - 1)
-    d_cut = ScaledMatrix.of_polys([[f[v][t] for t in cols] for v in u_out], deg - 1)
-    live_rows, live_cols = list(map(any, r_cut.rows)), list(map(any, zip(*d_cut.rows)))
+    wts = [[v.numerator * (p.den // v.denominator) for v in row] for row in gadget.weights.rows]
+    rows = sorted(set().union(*(compress(count(), map(itemgetter(u), f)) for u in u_in)))
+    cols = sorted(set().union(*(compress(count(), f[v]) for v in u_out)))
+    r_cut = cut([[f[s][u] for u in u_in] for s in rows], w, k)
+    d_cut = cut([[f[v][t] for t in cols] for v in u_out], w, k)
+    live_rows, live_cols = list(map(any, r_cut)), list(map(any, zip(*d_cut)))
+    c_cut = cut([[f[v][u] for u in u_in] for v in u_out], w, k - 1)
+    core = _core(c_cut, wts, p, gadget.size > state.cascade_threshold)
+    mask = (1 << (w * k)) - 1
+    # yW'S mod y^(J+1), by columns
+    ws = [[(sum(map(mul, wrow, sc)) & mask) << w for sc in zip(*core)] for wrow in wts]
+    mid = list(zip(*ws))
+    d_cols = list(compress(zip(*d_cut), live_cols))
     support_rows = list(compress(rows, live_rows))
-    support_cols = list(compress(cols, live_cols))
-    r_blk = ScaledMatrix(list(compress(r_cut.rows, live_rows)), r_cut.den)
-    d_blk = ScaledMatrix([list(compress(r, live_cols)) for r in d_cut.rows], d_cut.den)
-    c_blk = ScaledMatrix.of_polys([[f[v][u] for u in u_in] for v in u_out], deg - 2)
-    w = ScaledMatrix.of_rats(gadget.weights.rows)
-    w0 = ScaledMatrix([[IntPoly((v,)) for v in row] for row in w.rows], w.den)
-    core = matpow.power_sum(
-        c_blk.mul(w0, deg - 2),
-        deg - 1,
-        method="charpoly" if gadget.size > state.cascade_threshold else "direct",
-    )
-    p_blk = w0.times_x(deg).mul(core, deg)
-    correction = r_blk.mul(p_blk, deg).mul(d_blk, deg)
-    den = correction.den
-    # an entry the correction cancels goes back to the shared zero, so the
-    # count of live zero objects in F does not grow as the graph churns;
-    # a row whose correction is zero stays shared
-    zero = UniPoly.zero()
+    v_blk = []
+    for rrow in compress(r_cut, live_rows):
+        rq = [sum(map(mul, rrow, mc)) for mc in mid]
+        v_blk.append([sum(map(mul, rq, dc)) for dc in d_cols])
+    m = p.scale
     touched = {}
-    for s, crow in zip(support_rows, correction.rows):
-        if any(crow):
+    for s, low in zip(support_rows, cut(v_blk, w, slots)):
+        if any(low):
             row = touched[s] = list(f[s])
-            for t, c in zip(support_cols, crow):
-                if c:
-                    row[t] = _folded(row[t], c, den) or zero
-    new_f = state.F.with_rows(touched)
-    new_t = _updated_transition(state.T, gadget.deltas, state.n)
-    return replace(state, F=new_f, T=new_t, version=state.version + 1)
+            for t, v in zip(compress(cols, live_cols), low):
+                if v:
+                    row[t] = row[t] + v if m == 1 else _regridded(row[t], v, p)
+    new_t = state.T.with_rows(gadget.t_rows)
+    return replace(state, P=p.with_rows(touched), T=new_t, version=state.version + 1)
 
 
-def truncate_rows(
-    m: PolyMatrix,
-    bits: int,
-    source: PolyMatrix | None = None,
-    truncated: PolyMatrix | None = None,
-) -> PolyMatrix:
-    """m with every coefficient rounded to b bits, reusing work done before.
-
-    truncated must be source with every coefficient rounded to b bits;
-    it defaults to source itself, for a source already on the 2^-b grid.
-    A row of m that is the very list object of the same row of source is
-    taken from truncated as it is, with no work, and so is an entry that
-    is the very object of the same entry of source.  Snapshots share
-    exactly the rows an update left alone, and a replaced row keeps the
-    entry objects the update did not change, so after a local update only
-    the entries it changed are rounded.  Without a source every entry is
-    rounded.  An entry that rounds to zero becomes the shared zero, so
-    the fold's identity scans do not count it as support.
-    """
-    zero = UniPoly.zero()
-
-    def rounded(e):
-        return UniPoly.of_rats([truncate_to_bits(c, bits) for c in e.coeffs]) or zero
-
-    if source is None:
-        return PolyMatrix([[rounded(e) for e in row] for row in m.rows])
-    done = source if truncated is None else truncated
-    fresh = {
-        i: [d if e is o else rounded(e) for e, o, d in zip(row, old, done.rows[i])]
-        for i, (row, old) in enumerate(zip(m.rows, source.rows))
-        if row is not old
-    }
-    return done.with_rows(fresh)
+def _regridded(e: int, v: int, p: PackedF) -> int:
+    """Entry e plus the low slots v of a bits fold (m^J times the change), back on the grid."""
+    m, k = p.scale, p.slots - 1
+    top = m**k
+    nums = [h * top + c for h, c in zip(digits(e, p.width, p.slots), digits(v, p.width, p.slots))]
+    return on_grid(nums, m * top, m.bit_length() - 1, p.den, p.width)
 
 
 def apply_entry_deltas(state: DynState, entry_deltas) -> DynState:
     """Fold one batch of raw B entry deltas into the state as one gadget.
 
-    In bits mode the budget is charged one bit and the result is put back
-    on the 2^-b grid.  A state that has spent a bit already holds an F on
-    that grid (it came from a truncating batch or a muddled delivery), and
-    rounding is idempotent there, so only the entries the gadget changed
-    are rounded; a fresh bits state, whose F is still exact, has every
-    coefficient rounded.
+    In bits mode the budget is charged one bit and F stays on the 2^-b
+    grid.  A state on the grid (it came from a truncating batch or a
+    muddled delivery) has its changed entries rounded by the fold
+    itself; a fresh bits state, whose F is still exact, has every
+    coefficient rounded after the fold.
     """
     (gadget,) = build_delta_gadgets(state, entry_deltas)
     st = apply_gadget(state, gadget)
     if state.is_bits:
         st.budget = state.budget.copy()
         st.budget.spend(1)
-        if state.budget.bits_spent:
-            st.F = truncate_rows(st.F, state.bits, state.F)
-        else:
-            st.F = truncate_rows(st.F, state.bits)
+        if st.P.scale == 1:
+            st.P = truncate_rows(st.P, state.bits)
     return st
 
 
@@ -539,10 +572,13 @@ def apply_batch(state: DynState, batch: EdgeBatch) -> DynState:
 
 
 def read_power_entry(state: DynState, s: int, t: int, j: int) -> Rat:
-    """The (s, t) entry of T^j: coefficient j of F[s, t], or x^(2j) of G[s, t]."""
+    """The (s, t) entry of T^j: digit j of P[s][t] over scale * den^j."""
     n = state.n
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError("vertex out of range")
     if j < 0 or 2 * j > state.K:
         raise ValueError(f"power {j} out of range for truncation {state.K}")
-    return state.F.rows[s][t][j]
+    p = state.P
+    # the memo's hit path inline: a read round is mostly hits
+    r = p.reads.get((p.rows[s][t], j))
+    return coefficient(p, s, t, j) if r is None else r

@@ -122,7 +122,7 @@ class MuddleTimeline:
             bits=config.bits,
             budget=PrecisionBudget(config.bits),
         )
-        # (shadow F, its truncation) at the latest delivery, so the next
+        # (shadow P, its truncation) at the latest delivery, so the next
         # delivery rounds only the entries the shadow has changed since
         self._delivered = None
         self.jobs: list = [MuddleJob(0)]
@@ -135,8 +135,8 @@ class MuddleTimeline:
         b = self.config.bits
         budget = PrecisionBudget(b)
         budget.spend(1)
-        f = truncate_rows(shadow.F, b, *(self._delivered or ()))
-        return replace(shadow, mode="bits", bits=b, F=f, budget=budget)
+        p = truncate_rows(shadow.P, b, *(self._delivered or ()))
+        return replace(shadow, mode="bits", bits=b, P=p, budget=budget)
 
     # -- the public surface ---------------------------------------------
 
@@ -176,7 +176,7 @@ class MuddleTimeline:
             self.served = apply_batch(self.served, batch)
         else:
             self.served = self._deliver(shadow)
-            self._delivered = (shadow.F, self.served.F)
+            self._delivered = (shadow.P, self.served.P)
         self.shadow = shadow
         self.clock = clock
         for job, backlog in zip(self.jobs, backlogs):

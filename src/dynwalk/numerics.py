@@ -23,6 +23,7 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 __all__ = [
     "Rat",
     "rat",
+    "round_div",
     "truncate_to_bits",
     "pow2",
     "format_rat",
@@ -40,6 +41,20 @@ def rat(num, den=1):
     return Rat(num, den)
 
 
+def round_div(num: int, den: int) -> int:
+    """The integer nearest num/den for den > 0, ties toward zero.
+
+    This is the one rounding rule of bits mode, on integers.
+
+    >>> [round_div(v, 4) for v in (-6, -5, -3, -2, 2, 3, 5, 6)]
+    [-1, -1, -1, 0, 0, 1, 1, 1]
+    """
+    q, rem = divmod(abs(num), den)
+    if 2 * rem > den:
+        q += 1
+    return -q if num < 0 else q
+
+
 def truncate_to_bits(r, bits: int):
     """Round r to the nearest multiple of 2**-bits, ties toward zero.
 
@@ -54,19 +69,9 @@ def truncate_to_bits(r, bits: int):
         raise ValueError("negative bit count")
     r = Rat(r)
     scaled = r * (1 << bits)
-    num, den = scaled.numerator, scaled.denominator
-    if den == 1:
+    if scaled.denominator == 1:
         return r
-    neg = num < 0
-    if neg:
-        num = -num
-    # nearest integer to num/den, ties toward zero
-    q, rem = divmod(num, den)
-    if 2 * rem > den:
-        q += 1
-    if neg:
-        q = -q
-    return Rat(q, 1 << bits)
+    return Rat(round_div(scaled.numerator, scaled.denominator), 1 << bits)
 
 
 def pow2(exponent: int):

@@ -2,7 +2,7 @@
 
 import random
 
-from dynwalk.numerics import Rat
+from dynwalk.numerics import Rat, truncate_to_bits
 from dynwalk.poly import UniPoly
 from dynwalk.linalg import PolyMatrix, RatMatrix
 from dynwalk.graph import DynGraph, EdgeBatch, EdgeOp, validate_and_apply
@@ -160,6 +160,45 @@ def random_batch(rng, graph, max_ops, min_ops=1):
             ops.append(op)
             break
     return EdgeBatch(tuple(ops))
+
+
+# -- folds by definition ---------------------------------------------------
+
+
+def woodbury_fold(f, tdeltas, k):
+    """F + F[:, u_in] zW (sum of (zCW)^i) F[u_out, :] mod z^(J+1), in Rat polynomials.
+
+    f is F as a PolyMatrix in z, tdeltas are (row, col, delta) entry
+    deltas of T, C = F[u_out, u_in] and J = ceil(k/2).  This is the fold
+    of one batch written out with PolyMatrix products, for any F at all,
+    so it is the reference for bits mode too, where F is rounded.
+    """
+    deg = (k + 1) // 2
+    u_in = sorted({r for r, _, _ in tdeltas})
+    u_out = sorted({c for _, c, _ in tdeltas})
+    if not u_in:
+        return f
+    w = [[Rat(0)] * len(u_out) for _ in u_in]
+    for r, c, delta in tdeltas:
+        w[u_in.index(r)][u_out.index(c)] += delta
+    zw = PolyMatrix([[UniPoly([0, v]) for v in row] for row in w])
+    n = f.nrows
+    r = PolyMatrix([[f.rows[s][u] for u in u_in] for s in range(n)])
+    c = PolyMatrix([[f.rows[v][u] for u in u_in] for v in u_out])
+    d = PolyMatrix([[f.rows[v][t] for t in range(n)] for v in u_out])
+    czw = c.mul(zw, trunc=deg)
+    total = term = PolyMatrix.identity(len(u_out))
+    for _ in range(deg):
+        term = term.mul(czw, trunc=deg)
+        total = total.add(term)
+    return f.add(r.mul(zw, trunc=deg).mul(total, trunc=deg).mul(d, trunc=deg))
+
+
+def truncate_all(m, bits):
+    """Every coefficient of a PolyMatrix rounded to b bits by truncate_to_bits."""
+    return PolyMatrix(
+        [[UniPoly([truncate_to_bits(c, bits) for c in e.coeffs]) for e in row] for row in m.rows]
+    )
 
 
 def poly_matrix_entries_flat(m):

@@ -2,12 +2,13 @@
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
 from dynwalk import dyncore, matpow
-from dynwalk.numerics import BudgetExhausted, Rat, pow2, rat, truncate_to_bits
+from dynwalk.numerics import BudgetExhausted, Rat, pow2, rat
 from dynwalk.poly import UniPoly
 from dynwalk.linalg import PolyMatrix, RatMatrix
 from dynwalk.graph import (
@@ -37,7 +38,7 @@ from dynwalk.dyncore import (
     state_from_matrix,
 )
 
-from conftest import rand_rat, random_batch, random_graph
+from conftest import rand_rat, random_batch, random_graph, truncate_all, woodbury_fold
 
 
 def batch(*ops):
@@ -323,9 +324,12 @@ def test_churn_batch_folds_as_one_gadget(monkeypatch, threshold, route, k):
     benchmark churn batch, is one gadget of size 8: it takes the cascade
     route at threshold 4 and the direct route at the default.  The core
     power sum runs to J - 1 for J = ceil(K/2), since the correction
-    carries a factor z; at K = 2 the core is the identity."""
+    carries a factor z; at K = 2 the core is the identity.  The direct
+    route sums packed ints in dyncore, the cascade route goes through
+    matpow.power_sum."""
     sizes, methods, degrees = [], [], []
     real_apply, real_power_sum = apply_gadget, matpow.power_sum
+    real_packed = dyncore._packed_power_sum
 
     def counting_apply(state, gadget):
         sizes.append(gadget.size)
@@ -336,8 +340,14 @@ def test_churn_batch_folds_as_one_gadget(monkeypatch, threshold, route, k):
         degrees.append(deg)
         return real_power_sum(mat, deg, method)
 
+    def recording_packed(x, terms, scale, mask):
+        methods.append("direct")
+        degrees.append(terms)
+        return real_packed(x, terms, scale, mask)
+
     monkeypatch.setattr(dyncore, "apply_gadget", counting_apply)
     monkeypatch.setattr(matpow, "power_sum", recording_power_sum)
+    monkeypatch.setattr(dyncore, "_packed_power_sum", recording_packed)
     st = state_from_graph(DynGraph(6, 2, {(0, 1), (2, 4)}), k, cascade_threshold=threshold)
     st2 = apply_batch(st, batch(("delete", 0, 1), ("insert", 2, 3)))
     assert sizes == [8]
@@ -547,11 +557,11 @@ def test_update_shares_untouched_rows_and_leaves_the_old_snapshot_valid():
     n, k = 12, 4
     path = {(i, i + 1) for i in range(7)} | {(8, 9), (9, 10), (10, 11)}
     old = state_from_graph(DynGraph(n, 2, frozenset(path)), k)
-    f_before = [list(r) for r in old.F.rows]
+    f_before = [list(r) for r in old.P.rows]
     t_before = [list(r) for r in old.T.rows]
     new = apply_batch(old, batch(("delete", 1, 2), ("insert", 0, 2)))
     assert new.G == fresh_oracle(new)
-    assert [list(r) for r in old.F.rows] == f_before
+    assert [list(r) for r in old.P.rows] == f_before
     assert [list(r) for r in old.T.rows] == t_before
     assert old.G == fresh_oracle(old)
     # the batch touches vertices 0, 1, 2; F holds powers of T up to
@@ -561,13 +571,13 @@ def test_update_shares_untouched_rows_and_leaves_the_old_snapshot_valid():
     # (vertex 3 is one hop from 2); T changes only in rows 0, 1, 2, so
     # every other row of T is shared
     for v in range(4, n):
-        assert new.F.rows[v] is old.F.rows[v]
+        assert new.P.rows[v] is old.P.rows[v]
     for v in range(3, n):
         assert new.T.rows[v] is old.T.rows[v]
     # rows the batch touched are new lists; the old ones stay as they were
     for v in (0, 1, 2):
-        assert new.F.rows[v] != f_before[v]
-        assert new.F.rows[v] is not old.F.rows[v]
+        assert new.P.rows[v] != f_before[v]
+        assert new.P.rows[v] is not old.P.rows[v]
         assert new.T.rows[v] != t_before[v]
         assert new.T.rows[v] is not old.T.rows[v]
 
@@ -576,15 +586,84 @@ def test_a_support_row_with_a_zero_correction_stays_shared():
     # row 0 reaches rows 1 and 2 with equal weight, and the batch adds to
     # column 3 from row 1 what it takes away from row 2, so row 0 is in
     # the support but its correction F[0, u_in] * W vanishes: its row list
-    # must be shared, not copied
-    h, n = rat(1, 2), 4
-    t = RatMatrix([[0, h, h, 0], [0, h, 0, h], [0, 0, h, h], [0, 0, 0, 1]])
+    # must be shared, not copied.  The deltas bring no new denominator
+    # and no row sum above one, so the state is not repacked.
+    h, q, n = rat(1, 2), rat(1, 4), 4
+    t = RatMatrix([[0, h, h, 0], [0, h, 0, q], [0, 0, h, h], [0, 0, 0, 1]])
     old = state_from_matrix(t, 4)
-    new = apply_entry_deltas(old, [(1, n + 3, rat(1, 4)), (2, n + 3, rat(-1, 4))])
+    new = apply_entry_deltas(old, [(1, n + 3, q), (2, n + 3, -q)])
     assert new.G == fresh_oracle(new)
-    assert new.F.rows[0] is old.F.rows[0]
+    assert (new.P.width, new.P.den) == (old.P.width, old.P.den)
+    assert new.P.rows[0] is old.P.rows[0]
     for v in (1, 2):
-        assert new.F.rows[v] != old.F.rows[v]
+        assert new.P.rows[v] != old.P.rows[v]
+
+
+def test_exact_apply_gadget_builds_no_rat(monkeypatch):
+    """The exact fold on a graph state runs on packed ints alone: apply_gadget
+    constructs no Fraction, on either core route."""
+    if Rat is not Fraction:
+        pytest.skip("counts fractions.Fraction constructions")
+    made, inside, calls = [0], [False], [0]
+    real_new, real_apply = Fraction.__new__, dyncore.apply_gadget
+
+    def counting_new(cls, *args, **kwargs):
+        made[0] += inside[0]
+        return real_new(cls, *args, **kwargs)
+
+    def watched_apply(state, gadget):
+        calls[0] += 1
+        inside[0] = True
+        try:
+            return real_apply(state, gadget)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if "_from_coprime_ints" in Fraction.__dict__:  # results built without __new__
+        real_coprime = Fraction._from_coprime_ints
+
+        def counting_coprime(cls, *args):
+            made[0] += inside[0]
+            return real_coprime(*args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    monkeypatch.setattr(dyncore, "apply_gadget", watched_apply)
+    rng = random.Random(911)
+    for threshold, k in ((DEFAULT_CASCADE_THRESHOLD, 4), (DEFAULT_CASCADE_THRESHOLD, 8), (0, 6)):
+        st = state_from_graph(random_graph(rng, 8, 3, fill=0.7), k, cascade_threshold=threshold)
+        for _ in range(4):
+            st = apply_batch(st, random_batch(rng, st.graph, 3))
+            assert st.G == fresh_oracle(st)
+    assert calls[0] == 12
+    assert made[0] == 0
+
+
+def test_a_new_denominator_and_a_larger_norm_repack_the_state():
+    # T on halves has den 2 and row sums at most 1; the first batch brings
+    # thirds and a row of absolute sum 10/3, so den grows to 6, the norm
+    # of 6T to 20 and the slot width with it, and every entry is repacked
+    h, k = rat(1, 2), 6
+    a = [[h, h, 0], [0, h, h], [h, 0, 0]]
+    st = state_from_matrix(RatMatrix(a), k)
+    assert (st.P.den, max(st.P.norms)) == (2, 2)
+    for deltas in (
+        [(0, 2, rat(7, 3)), (2, 1, rat(-1, 3))],
+        [(1, 0, rat(-5, 6)), (2, 2, rat(1, 2))],
+    ):
+        old = st
+        st = apply_entry_deltas(st, [(r, 3 + c, dl) for r, c, dl in deltas])
+        for r, c, dl in deltas:
+            a[r][c] += dl
+        b = bipartite_embed(PolyMatrix.from_rational(RatMatrix(a)))
+        assert st.B == b
+        assert st.G == exact_power_sum(b, k)
+        assert st.F == state_from_matrix(RatMatrix(a), k).F
+    # the second batch brought no new denominator and no row above the
+    # norm, so it kept the packing of the first
+    assert (old.P.den, old.P.norms) == (6, [20, 6, 5])
+    assert old.P.width > state_from_matrix(RatMatrix([[h, h, 0], [0, h, h], [h, 0, 0]]), k).P.width
+    assert (st.P.den, st.P.norms, st.P.width) == (old.P.den, [20, 11, 8], old.P.width)
 
 
 def _assert_zeros_shared(st):
@@ -673,19 +752,11 @@ def test_property_cascade_route_matches_oracles(n, d, k, rng):
 
 
 def _bits_fold_reference(state, batch):
-    """G after one bits-mode batch by definition: the gadget, then every coefficient truncated."""
+    """F after one bits-mode batch by definition: the Rat fold of the stored F, then every coefficient truncated."""
     if len(batch) == 0:
-        return state.G
-    n = state.n
+        return state.F
     _, tdeltas = validate_and_apply(state.graph, batch)
-    (gadget,) = build_delta_gadgets(state, [(r, n + c, dl) for r, c, dl in tdeltas])
-    st = apply_gadget(state, gadget)
-    return PolyMatrix(
-        [
-            [UniPoly([truncate_to_bits(c, state.bits) for c in e.coeffs]) for e in row]
-            for row in st.G.rows
-        ]
-    )
+    return truncate_all(woodbury_fold(state.F, tdeltas, state.K), state.bits)
 
 
 @settings(max_examples=20, deadline=None)
@@ -705,7 +776,7 @@ def test_property_bits_mode_within_certified_bound(n, d, k, bits, rng):
         exact = apply_batch(exact, b)
         want = _bits_fold_reference(dirty, b)
         dirty = apply_batch(dirty, b)
-        assert dirty.G == want
+        assert dirty.F == want
         spent = dirty.budget.bits_spent
         bound = pow2(-(bits - spent - 2))
         for row_e, row_d in zip(exact.G.rows, dirty.G.rows):
@@ -713,6 +784,32 @@ def test_property_bits_mode_within_certified_bound(n, d, k, bits, rng):
                 for j in range(k + 1):
                     assert abs(e[j] - dd[j]) <= bound
     _assert_matches_oracles(exact)
+
+
+@pytest.mark.parametrize("threshold", [0, DEFAULT_CASCADE_THRESHOLD])
+@settings(max_examples=15, deadline=None)
+@given(
+    hst.integers(2, 6),
+    hst.integers(1, 6),
+    hst.integers(24, 64),
+    hst.randoms(use_true_random=False),
+)
+def test_property_bits_mode_on_weighted_digraphs(threshold, n, k, bits, rng):
+    """Bits mode on non-symmetric T with signed weights and mixed
+    denominators, on both core routes: each batch gives the Rat fold of
+    the stored F with every coefficient truncated, through repacks."""
+
+    def weight():
+        return rand_rat(rng, 3, 6)
+
+    a = [[weight() if rng.random() < 0.5 else Rat(0) for _ in range(n)] for _ in range(n)]
+    st = state_from_matrix(RatMatrix(a), k, mode="bits", bits=bits, cascade_threshold=threshold)
+    for _ in range(3):
+        deltas = [(rng.randrange(n), rng.randrange(n), weight()) for _ in range(rng.randint(1, 4))]
+        want = truncate_all(woodbury_fold(st.F, deltas, k), bits)
+        st = apply_entry_deltas(st, [(r, n + c, dl) for r, c, dl in deltas])
+        assert st.P.scale == 1 << bits
+        assert st.F == want
 
 
 @pytest.mark.parametrize("threshold", [0, DEFAULT_CASCADE_THRESHOLD])

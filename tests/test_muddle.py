@@ -1,18 +1,17 @@
 """Pipelined recomputation: freshness, liveness, population bounds."""
 
-from dataclasses import replace
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from dynwalk.numerics import BudgetExhausted, PrecisionBudget, truncate_to_bits
-from dynwalk.poly import UniPoly
+from dynwalk.numerics import BudgetExhausted, PrecisionBudget
 from dynwalk.linalg import PolyMatrix
-from dynwalk.graph import BatchRejected, DynGraph, EdgeBatch, EdgeOp
+from dynwalk.graph import BatchRejected, DynGraph, EdgeBatch, EdgeOp, validate_and_apply
 from dynwalk.dyncore import apply_batch, state_from_graph
 from dynwalk.muddle import AccountingRow, MuddleConfig, MuddleTimeline, TraceRow
 
-from conftest import random_batch, random_graph
+from conftest import random_batch, random_graph, truncate_all, woodbury_fold
 
 
 def toggle(u, v, present):
@@ -20,14 +19,17 @@ def toggle(u, v, present):
     return EdgeBatch((EdgeOp(kind, u, v),))
 
 
-def truncate_all(m, bits):
-    return PolyMatrix(
-        [[UniPoly([truncate_to_bits(c, bits) for c in e.coeffs]) for e in row] for row in m.rows]
-    )
-
-
 def truncated_twin(graph, k, bits):
     return truncate_all(state_from_graph(graph, k).G, bits)
+
+
+@dataclass
+class Served:
+    """The reference timeline's served state: a graph, F in Rat, a budget."""
+
+    graph: DynGraph
+    F: PolyMatrix
+    budget: PrecisionBudget
 
 
 class ReplayTimeline:
@@ -35,17 +37,19 @@ class ReplayTimeline:
 
     Each job rebuilds from scratch at its spawn, replays its backlog at two
     batches per tick once its compute ticks are over, and delivers its own
-    state truncated to b bits.  The served state takes every batch as an
-    exact fold followed by truncation of every coefficient (of F, which
-    is every coefficient of G but its structural zeros).  Nothing here
-    shares work between jobs, so it checks that the shadow scheduler's
-    counters and single exact state reproduce the model.
+    F truncated to b bits.  The served state takes every batch as the
+    Woodbury fold of its F in Rat followed by truncation of every
+    coefficient (of F, which is every coefficient of G but its structural
+    zeros).  Nothing here shares work between jobs, so it checks that the
+    shadow scheduler's counters and single exact state reproduce the
+    model, and that the served packed state rounds as the definition does.
     """
 
     def __init__(self, cfg, graph):
         self.cfg = cfg
         self.clock = 0
-        self.served = state_from_graph(graph, cfg.K, mode="bits", bits=cfg.bits)
+        fresh = state_from_graph(graph, cfg.K)
+        self.served = Served(fresh.graph, fresh.F, PrecisionBudget(cfg.bits))
         self.jobs = []
         self.trace = []
         self.rows = []
@@ -58,15 +62,14 @@ class ReplayTimeline:
     def _serve(self, batch):
         st = self.served
         if len(batch) == 0:
-            return replace(st, step_count=st.step_count + 1)
-        as_exact = replace(st, mode="exact", bits=None, budget=None)
-        folded = apply_batch(as_exact, batch)
+            return st
+        graph, tdeltas = validate_and_apply(st.graph, batch)
         if not st.budget.can_spend(1):
             raise BudgetExhausted("served budget exhausted")
         budget = st.budget.copy()
         budget.spend(1)
-        f = truncate_all(folded.F, st.bits)
-        return replace(folded, mode="bits", bits=st.bits, F=f, budget=budget)
+        f = truncate_all(woodbury_fold(st.F, tdeltas, self.cfg.K), self.cfg.bits)
+        return Served(graph, f, budget)
 
     def step(self, batch):
         cfg = self.cfg
@@ -87,12 +90,8 @@ class ReplayTimeline:
             if self.clock - job["spawn"] >= cfg.L and not job["backlog"]:
                 budget = PrecisionBudget(cfg.bits)
                 budget.spend(1)
-                self.served = replace(
-                    job["state"],
-                    mode="bits",
-                    bits=cfg.bits,
-                    F=truncate_all(job["state"].F, cfg.bits),
-                    budget=budget,
+                self.served = Served(
+                    job["state"].graph, truncate_all(job["state"].F, cfg.bits), budget
                 )
                 self.jobs.remove(job)
                 delivered = 1
@@ -291,7 +290,7 @@ def test_property_shadow_matches_per_job_replay(latency, n, d, k, rng):
     graph = random_graph(rng, n, d, fill=rng.random())
     tl = MuddleTimeline(cfg, graph)
     ref = ReplayTimeline(cfg, graph)
-    assert tl.served.G == ref.served.G
+    assert tl.served.F == ref.served.F
     for _ in range(latency + 6):
         batch = _next_batch(rng, tl.served.graph)
         try:
@@ -303,6 +302,6 @@ def test_property_shadow_matches_per_job_replay(latency, n, d, k, rng):
             tl.step(batch)
         assert tl.trace_lines() == ref.trace_lines()
         assert tl.accounting() == ref.rows
-        assert tl.served.G == ref.served.G
+        assert tl.served.F == ref.served.F
         assert tl.served.graph == ref.served.graph
         assert tl.served.budget.bits_spent == ref.served.budget.bits_spent

@@ -1,5 +1,7 @@
 """Rational scalars, truncation, and the precision budget."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from dynwalk.numerics import (
     parse_rat,
     pow2,
     rat,
+    round_div,
     truncate_to_bits,
 )
 
@@ -29,6 +32,42 @@ def test_truncate_examples():
     # ties move toward zero on both sides
     assert truncate_to_bits(rat(-1, 16), 3) == 0
     assert truncate_to_bits(rat(-3, 7), 3) == rat(-3, 8)
+
+
+def _nearest_by_definition(num, den):
+    """The integer nearest num/den, ties toward zero, from Rat comparisons alone."""
+    r = Rat(num, den)
+    lo = math.floor(r)
+    return min((lo, lo + 1), key=lambda q: (abs(r - q), abs(q)))
+
+
+def test_round_div_negative_values_and_exact_ties():
+    # (num, den, want): ties at +-1/2, +-3/2, +-5/2 go toward zero
+    cases = [
+        (1, 2, 0), (-1, 2, 0), (3, 2, 1), (-3, 2, -1), (5, 2, 2), (-5, 2, -2),
+        (-6, 4, -1), (-2, 4, 0), (-7, 4, -2), (-5, 4, -1), (7, 4, 2),
+        (0, 3, 0), (-9, 3, -3), (-10, 3, -3), (-11, 3, -4),
+    ]
+    for num, den, want in cases:
+        assert round_div(num, den) == want == _nearest_by_definition(num, den)
+
+
+@given(st.integers(-(10**9), 10**9), st.integers(1, 10**6))
+def test_round_div_matches_the_rat_definition(num, den):
+    assert round_div(num, den) == _nearest_by_definition(num, den)
+
+
+@given(st.integers(-(10**6), 10**6), st.integers(1, 10**4))
+def test_round_div_breaks_every_exact_tie_toward_zero(q, half):
+    # (2q + 1) / 2 is exactly halfway between q and q + 1
+    num, den = (2 * q + 1) * half, 2 * half
+    assert round_div(num, den) == (q if q >= 0 else q + 1) == _nearest_by_definition(num, den)
+
+
+@given(rationals, bit_counts)
+def test_truncate_to_bits_is_round_div_on_the_scaled_value(r, bits):
+    want = Rat(round_div(r.numerator << bits, r.denominator), 1 << bits)
+    assert truncate_to_bits(r, bits) == want
 
 
 def test_truncate_rejects_negative_bits():
