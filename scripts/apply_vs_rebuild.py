@@ -7,11 +7,12 @@ bound d, then applies churn batches of one delete plus one insert
 warm-up batches it records the CPU time of each ``apply_batch`` and of
 ``state_from_graph`` on the same graph, and prints the medians and
 their ratio (below one means the incremental path wins).  Outside the
-timers, every rebuilt state's stored packed F is compared with the
-folded state's, int for int (a graph state's packing depends only on
-n, d and K, and every coefficient of the 2n x 2n G is one of F's, so
-this checks G too); on a mismatch the script names the (n, K) point and
-exits with 1.
+timers, every rebuilt state's stored packed F and stored integer
+transition matrix N = 2d T are compared with the folded state's, int
+for int (a graph state's packing depends only on n, d and K, and every
+coefficient of the 2n x 2n G is one of F's, so this checks G too, and
+B is built from N); on a mismatch the script names the (n, K) point and
+what differs, and exits with 1.
 
     python3 scripts/apply_vs_rebuild.py
     python3 scripts/apply_vs_rebuild.py --n 12 --k 4 --batches 2 --warmup 1
@@ -88,8 +89,9 @@ def sweep_point(n: int, d: int, k: int, batches: int, warmup: int, seed: int):
             applies.append(ms)
             rebuilt, ms = cpu_ms(state_from_graph, state.graph, k)
             rebuilds.append(ms)
-            if rebuilt.P != state.P:
-                sys.exit(f"error: n={n} K={k}: folded F differs from the rebuild at batch {i + 1}")
+            for name in ("P", "N"):
+                if getattr(rebuilt, name) != getattr(state, name):
+                    sys.exit(f"error: n={n} K={k}: folded {name} differs from the rebuild at batch {i + 1}")
     return statistics.median(applies), statistics.median(rebuilds)
 
 

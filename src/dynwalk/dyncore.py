@@ -15,8 +15,8 @@ coefficient of G is a coefficient of F or a structural zero.
 
 F is stored packed, one Python int per entry whose slot j holds
 m delta^j F[s][t][j] for a common denominator delta of T and a scale m
-(``packed``), and every update runs on those ints; Rat appears only at
-readout and in the F and G views.
+(``packed``), and every update runs on those ints; Rat remains only at
+the edges, listed below.
 
 A batch of changes to T (the top-right block of B) becomes one delta
 gadget over the affected rows u_in and columns u_out.  With T' = T + U W V
@@ -42,15 +42,23 @@ balls around the batch), so the product is formed over those support
 rows and columns alone and added into them.  The candidates are the
 nonzero entries of the affected columns and rows, found by C-level
 truthiness scans, and the support is the candidates whose cut entries
-are nonzero.  Besides F the state stores the n x n T, the matrix the
-batches edit; B is a view built from T on access, as G is from F.  The
-new F and T copy only the rows the gadget changes (F's rows with a
-nonzero correction, T's rows with a delta) and share every other row
+are nonzero.
+
+Besides F the state stores the integer matrix N = delta T, the matrix
+the batches edit, as rows of ints; T is a view built from N on access,
+and B from T, as G is from F.  A graph batch is integer from the edge op
+to the fold: the graph reports its deltas of N (units of 1/(2d)), the
+gadget's weights and N's new rows are ints, and the fold runs on packed
+ints.  Rat remains only at the edges: state_from_matrix's input, the Rat
+deltas apply_entry_deltas takes (one that brings a new denominator
+rescales N and repacks F first), readout and the T, B, F and G views.
+The new F and N copy only the rows the gadget changes (F's rows with a
+nonzero correction, N's rows with a delta) and share every other row
 list with the parent snapshot; nothing may mutate stored rows in place.
 
 The from-scratch rebuild still runs the oracle's 2n x 2n power sum of B,
 reads F off its top-right block and packs it.  Building F straight from
-T would be several times cheaper, but the benchmark gates the ratio of
+N would be several times cheaper, but the benchmark gates the ratio of
 fold time to this rebuild's time, which a faster rebuild would raise;
 that change waits for the ratio to be redefined.
 
@@ -66,8 +74,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import compress, count
-from operator import itemgetter, mul
+from itertools import chain, compress, count
+from operator import index, itemgetter, mul
 
 # truncate_to_bits is unused here but stays bound: the layer tracer in
 # bench/layers.py wraps dyncore.truncate_to_bits by name
@@ -112,13 +120,13 @@ __all__ = [
     "truncate_rows",
 ]
 
-# Gadgets with more affected indices than this route their core power sum
-# through the characteristic-polynomial cascade instead of direct
-# accumulation.  12 keeps every batch of up to three edge changes (at most
-# six affected rows plus six affected columns) on the direct route, which
-# is what the desk-scale timing budgets assume; bigger batches exercise
-# the cascade.
-DEFAULT_CASCADE_THRESHOLD = 12
+# Gadgets with more affected indices than a state's cascade_threshold
+# route their core power sum through the characteristic-polynomial
+# cascade instead of direct accumulation.  The direct route is faster at
+# every gadget size measured (2 to 16 edge changes, K = 4 to 12), and the
+# cascade's loss grows with the batch, so by default no gadget takes the
+# cascade; a state opts in by setting a finite threshold.
+DEFAULT_CASCADE_THRESHOLD = math.inf
 
 
 class StaleGadgetError(Exception):
@@ -131,26 +139,26 @@ class DeltaGadget:
 
     u_in holds the affected rows of B (first-copy vertices), u_out the
     affected columns (second-copy slots), both sorted.  weights is the
-    |u_in| x |u_out| block of signed entry deltas, and t_rows maps each
-    row of T with a delta to that row after the deltas.  The remaining
-    gadget entries are rows and columns of F and are read off the state
-    at apply time, which is what expected_version pins down: it is the
-    version of the state the gadget was built against.
+    |u_in| x |u_out| block of signed deltas of N = delta T, as rows of
+    ints, and new_rows maps each row of N with a delta to that row after
+    the deltas.  The remaining gadget entries are rows and columns of F
+    and are read off the state at apply time, which is what
+    expected_version pins down: it is the version of the state the
+    gadget was built against.
     """
 
     u_in: tuple
     u_out: tuple
-    weights: RatMatrix
-    deltas: tuple
+    weights: tuple
     expected_version: int
-    t_rows: dict
+    new_rows: dict
 
     @property
     def size(self) -> int:
         return len(self.u_in) + len(self.u_out)
 
     def is_empty(self) -> bool:
-        return not self.deltas
+        return not self.u_in
 
 
 @dataclass
@@ -160,17 +168,19 @@ class DynState:
     P is the stored state: the n x n matrix F = sum of (zT)^j for
     j = 0..ceil(K/2), packed one int per entry (see PackedF), so the
     digit j of P.rows[s][t] is the (s, t) entry of T^j times
-    P.scale * P.den^j.  T is the n x n transition matrix, the matrix
-    the batches edit.  F as Rat polynomials, the 2n x 2n embedding
-    B = [[0, T], [I, 0]] and G, the 2n x 2n sum of (xB)^i for i <= K,
-    are not stored; their properties build them on every access, for
-    comparisons against the oracles.
+    P.scale * P.den^j.  N holds the rows of the integer matrix
+    P.den * T, the matrix the batches edit (2d T on a graph state).
+    The transition matrix T = N / P.den, F as Rat polynomials, the
+    2n x 2n embedding B = [[0, T], [I, 0]] and G, the 2n x 2n sum of
+    (xB)^i for i <= K, are not stored; their properties build them on
+    every access, for comparisons against the oracles.  Rat appears in
+    those views only.
 
     Treated as immutable: every update operation returns a fresh state and
     never touches its input, so older snapshots stay valid (the muddled
     scheduler leans on this).  Successive snapshots share the row lists
-    of P and T that an update did not touch, so no one may mutate
-    P.rows or T.rows in place; build a new matrix instead.
+    of P and N that an update did not touch, so no one may mutate
+    P.rows or N in place; build a new matrix instead.
     """
 
     n: int
@@ -179,16 +189,23 @@ class DynState:
     mode: str
     bits: int | None
     graph: DynGraph | None
-    T: RatMatrix
+    N: list
     P: PackedF
     budget: PrecisionBudget | None
     version: int = 0
     step_count: int = 0
-    cascade_threshold: int = DEFAULT_CASCADE_THRESHOLD
+    cascade_threshold: float = DEFAULT_CASCADE_THRESHOLD
 
     @property
     def is_bits(self) -> bool:
         return self.mode == "bits"
+
+    @property
+    def T(self) -> RatMatrix:
+        """The n x n transition matrix N / P.den, built from N (not cached)."""
+        den = self.P.den
+        rats = {v: Rat(v, den) for v in set(chain.from_iterable(self.N))}
+        return RatMatrix.from_rat_rows([list(map(rats.__getitem__, row)) for row in self.N])
 
     @property
     def F(self) -> PolyMatrix:
@@ -259,11 +276,6 @@ def _validate_mode(mode: str, bits: int | None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _scaled_abs(v, den: int) -> int:
-    """|den * v| for a Rat v whose denominator divides den."""
-    return abs(v.numerator) * (den // v.denominator)
-
-
 def _build(a: RatMatrix, k, mode, bits, cascade_threshold, den: int) -> DynState:
     """The from-scratch state over a, with den a multiple of every denominator of a."""
     if not a.is_square:
@@ -274,7 +286,8 @@ def _build(a: RatMatrix, k, mode, bits, cascade_threshold, den: int) -> DynState
     b = bipartite_embed(PolyMatrix.from_rational(a))
     g = exact_power_sum(b, k).rows
     n, slots = a.nrows, (k + 1) // 2 + 1
-    norms = [sum(_scaled_abs(v, den) for v in filter(None, row)) for row in a.rows]
+    int_rows = [[v.numerator * (den // v.denominator) for v in row] for row in a.rows]
+    norms = [sum(map(abs, row)) for row in int_rows]
     w = width_for(1, max(norms, default=0), den, slots)
     # T^j is the x^(2j-1) coefficient of the top-right block for j >= 1,
     # and T^0 = I
@@ -296,7 +309,7 @@ def _build(a: RatMatrix, k, mode, bits, cascade_threshold, den: int) -> DynState
         mode=mode,
         bits=bits,
         graph=None,
-        T=a,
+        N=int_rows,
         P=PackedF(rows, w, den, 1, norms, slots),
         budget=budget,
         cascade_threshold=cascade_threshold,
@@ -308,14 +321,13 @@ def state_from_matrix(
     k: int,
     mode: str = "exact",
     bits: int | None = None,
-    cascade_threshold: int = DEFAULT_CASCADE_THRESHOLD,
+    cascade_threshold: float = DEFAULT_CASCADE_THRESHOLD,
 ) -> DynState:
     """Dynamic state over an arbitrary square weight matrix (no graph).
 
     This is the raw engine entry point the tests use for weighted digraph
-    instances; graph-driven states go through state_from_graph.  The
-    state keeps a itself as its T, so a must not be mutated afterwards.
-    Its packing denominator is the lcm of a's denominators.
+    instances; graph-driven states go through state_from_graph.  Its
+    packing denominator is the lcm of a's denominators.
     """
     den = math.lcm(*(v.denominator for row in a.rows for v in row))
     return _build(a, k, mode, bits, cascade_threshold, den)
@@ -326,7 +338,7 @@ def state_from_graph(
     k: int,
     mode: str = "exact",
     bits: int | None = None,
-    cascade_threshold: int = DEFAULT_CASCADE_THRESHOLD,
+    cascade_threshold: float = DEFAULT_CASCADE_THRESHOLD,
 ) -> DynState:
     """Dynamic state maintaining the lazy walk of an existing graph.
 
@@ -347,7 +359,7 @@ def initial_state(
     k: int,
     mode: str = "exact",
     bits: int | None = None,
-    cascade_threshold: int = DEFAULT_CASCADE_THRESHOLD,
+    cascade_threshold: float = DEFAULT_CASCADE_THRESHOLD,
 ) -> DynState:
     """Dynamic state over the empty n-vertex graph with degree bound d."""
     return state_from_graph(DynGraph.empty(n, d), k, mode, bits, cascade_threshold)
@@ -356,56 +368,59 @@ def initial_state(
 def build_delta_gadgets(state: DynState, entry_deltas) -> tuple:
     """The batch's gadgets: one DeltaGadget over every nonzero delta, as a 1-tuple.
 
-    entry_deltas are (row, col, delta) triples in B coordinates and must
+    entry_deltas are (row, col, delta) triples in B coordinates with
+    integer deltas of N = P.den * T, so units of 1/P.den of T (1/(2d) on
+    a graph state, the units ``validate_and_apply`` reports).  They must
     lie in the top-right block; anything else is a contract violation.
     Deltas of both signs share the gadget as signed weights, and it is
-    built against the current version, whose T it updates.  The tuple
+    built against the current version, whose N it updates.  The tuple
     keeps working callers that iterate over a batch's gadgets, such as
     the benchmark's route check.
     """
-    n = state.n
-    triples = []
+    n, rows = state.n, state.N
+    net, new_rows = {}, {}
     for row, col, delta in entry_deltas:
-        delta = Rat(delta)
-        if delta == 0:
+        delta = index(delta)
+        if not delta:
             continue
         if not (0 <= row < n and n <= col < 2 * n):
             raise ValueError(
                 f"delta at ({row}, {col}) is outside the top-right block"
             )
-        triples.append((row, col, delta))
-    u_in = tuple(sorted({r for r, _, _ in triples}))
-    u_out = tuple(sorted({c for _, c, _ in triples}))
-    pos = {u: i for i, u in enumerate(u_in)}
-    qos = {v: j for j, v in enumerate(u_out)}
-    w = [[R0] * len(u_out) for _ in u_in]
-    t_rows = {}
-    for r, c, delta in triples:
-        w[pos[r]][qos[c]] += delta
-        t_rows.setdefault(r, list(state.T.rows[r]))[c - n] += delta
+        net[row, col] = net.get((row, col), 0) + delta
+        new = new_rows.get(row)
+        if new is None:
+            new = new_rows[row] = list(rows[row])
+        new[col - n] += delta
+    u_in = tuple(sorted(new_rows))
+    u_out = tuple(sorted({c for _, c in net}))
     gadget = DeltaGadget(
         u_in=u_in,
         u_out=u_out,
-        weights=RatMatrix.from_rat_rows(w),
-        deltas=tuple(sorted(triples)),
+        weights=tuple(tuple(net.get((r, c), 0) for c in u_out) for r in u_in),
         expected_version=state.version,
-        t_rows=t_rows,
+        new_rows=new_rows,
     )
     return (gadget,)
 
 
-def _fitted(p: PackedF, t: RatMatrix, gadget: DeltaGadget) -> PackedF:
-    """p with its den and row norms after the gadget, repacked if it outgrows them.
+def _fitted(p: PackedF, rows: list, gadget: DeltaGadget, cols: list) -> PackedF:
+    """p with the row norms of N after the gadget, repacked if they outgrow its width.
 
-    Graph states never repack: their denominator is 2d and their norms
+    rows is N before the gadget and cols its affected columns.  Only the
+    gadget's entries can move a norm, so this reads those alone, and p
+    comes back as it is when no norm moves; a graph state's norms all
     stay 2d.
     """
-    den = math.lcm(p.den, *(d.denominator for _, _, d in gadget.deltas))
-    up, n = den // p.den, len(p.rows)
-    norms = [v * up for v in p.norms]
-    for r, c in {(r, c - n) for r, c, _ in gadget.deltas}:
-        norms[r] += _scaled_abs(gadget.t_rows[r][c], den) - _scaled_abs(t.rows[r][c], den)
-    return refit(p, den, norms)
+    norms = None
+    for r in gadget.u_in:
+        new, old = gadget.new_rows[r], rows[r]
+        step = sum(abs(new[c]) - abs(old[c]) for c in cols)
+        if step:
+            if norms is None:
+                norms = list(p.norms)
+            norms[r] += step
+    return p if norms is None else refit(p, p.den, norms)
 
 
 def _packed_power_sum(x, terms: int, scale: int, mask: int) -> list:
@@ -452,7 +467,7 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     With J = ceil(K/2), y = 2^w the packed stand-in for z and the u_out
     slots shifted down by n to columns of T, the correction to the
     digits is R * yW' * S * D mod y^(J+1), where W' = delta W is the
-    integer weight block, R = P[:, u_in], C = P[u_out, u_in],
+    gadget's integer weight block, R = P[:, u_in], C = P[u_out, u_in],
     D = P[u_out, :] and S = sum of (yCW')^i for i < J.  R and D are cut
     mod y^J and C mod y^(J-1) by bias and mask, and S is kept mod
     2^(wJ), since only the low slots of the result are read.  The
@@ -472,8 +487,8 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     delta^j)) delta^j, to nearest with ties toward zero.  No Rat is
     built on either scale.
 
-    A gadget that brings a new denominator, or a row norm past the slot
-    width, repacks every entry first.  The version token must match:
+    A gadget that brings a row norm of N past the slot width repacks
+    every entry first.  The version token must match:
     gadgets encode which F their entries are meant to be read from, and
     applying against anything else would silently compute garbage.
     """
@@ -484,12 +499,11 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
         )
     if gadget.is_empty():
         return replace(state, version=state.version + 1)
-    p = _fitted(state.P, state.T, gadget)
+    u_in, wts = gadget.u_in, gadget.weights
+    u_out = [v - state.n for v in gadget.u_out]
+    p = _fitted(state.P, state.N, gadget, u_out)
     f, w, slots = p.rows, p.width, p.slots
     k = slots - 1
-    u_in = gadget.u_in
-    u_out = [v - state.n for v in gadget.u_out]
-    wts = [[v.numerator * (p.den // v.denominator) for v in row] for row in gadget.weights.rows]
     rows = sorted(set().union(*(compress(count(), map(itemgetter(u), f)) for u in u_in)))
     cols = sorted(set().union(*(compress(count(), f[v]) for v in u_out)))
     r_cut = cut([[f[s][u] for u in u_in] for s in rows], w, k)
@@ -515,8 +529,10 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
             for t, v in zip(compress(cols, live_cols), low):
                 if v:
                     row[t] = row[t] + v if m == 1 else _regridded(row[t], v, p)
-    new_t = state.T.with_rows(gadget.t_rows)
-    return replace(state, P=p.with_rows(touched), T=new_t, version=state.version + 1)
+    new_n = list(state.N)
+    for r, row in gadget.new_rows.items():
+        new_n[r] = row
+    return replace(state, P=p.with_rows(touched), N=new_n, version=state.version + 1)
 
 
 def _regridded(e: int, v: int, p: PackedF) -> int:
@@ -527,8 +543,8 @@ def _regridded(e: int, v: int, p: PackedF) -> int:
     return on_grid(nums, m * top, m.bit_length() - 1, p.den, p.width)
 
 
-def apply_entry_deltas(state: DynState, entry_deltas) -> DynState:
-    """Fold one batch of raw B entry deltas into the state as one gadget.
+def _folded(state: DynState, entry_deltas) -> DynState:
+    """Fold integer deltas of N into the state as one gadget, in either mode.
 
     In bits mode the budget is charged one bit and F stays on the 2^-b
     grid.  A state on the grid (it came from a truncating batch or a
@@ -546,26 +562,51 @@ def apply_entry_deltas(state: DynState, entry_deltas) -> DynState:
     return st
 
 
+def apply_entry_deltas(state: DynState, entry_deltas) -> DynState:
+    """Fold one batch of raw B entry deltas, Rat deltas of T, into the state.
+
+    entry_deltas are (row, col, delta) triples in B coordinates.  A delta
+    whose denominator does not divide P.den first moves the state to the
+    lcm: N is rescaled and every entry of F repacked.  The deltas then
+    fold as integer deltas of N, as a graph batch does; bits mode is
+    handled as there.
+    """
+    triples = [(r, c, Rat(dl)) for r, c, dl in entry_deltas]
+    den = math.lcm(state.P.den, *(dl.denominator for _, _, dl in triples))
+    if den != state.P.den:
+        up = den // state.P.den
+        state = replace(
+            state,
+            N=[[v * up for v in row] for row in state.N],
+            P=refit(state.P, den, [v * up for v in state.P.norms]),
+        )
+    return _folded(
+        state, [(r, c, dl.numerator * (den // dl.denominator)) for r, c, dl in triples]
+    )
+
+
 def apply_batch(state: DynState, batch: EdgeBatch) -> DynState:
     """Validate a batch against the graph and fold it into the state.
 
-    An empty batch only advances the step counter.  A rejected batch
-    raises BatchRejected before anything is touched; in bits mode an
-    exhausted budget raises BudgetExhausted, the signal that answers can
-    no longer be served at the promised precision.
+    The graph reports its deltas of N in units of 1/(2d), which are the
+    state's own units, so the batch builds no Rat on its way to the
+    fold.  An empty batch only advances the step counter.  A rejected
+    batch raises BatchRejected before anything is touched; in bits mode
+    an exhausted budget raises BudgetExhausted, the signal that answers
+    can no longer be served at the promised precision.
     """
     if state.graph is None:
         raise ValueError("state has no graph; use apply_entry_deltas")
     if len(batch) == 0:
         return replace(state, step_count=state.step_count + 1)
-    new_graph, tdeltas = validate_and_apply(state.graph, batch)
+    new_graph, ndeltas = validate_and_apply(state.graph, batch)
     if state.is_bits and not state.budget.can_spend(1):
         raise BudgetExhausted(
             f"precision budget exhausted after {state.step_count} steps"
         )
-    n = state.n
-    bdeltas = [(r, n + c, delta) for (r, c, delta) in tdeltas]
-    st = apply_entry_deltas(state, bdeltas)
+    # P.den is 2d unless apply_entry_deltas brought a new denominator
+    n, up = state.n, state.P.den // (2 * state.d)
+    st = _folded(state, [(r, n + c, delta * up) for (r, c, delta) in ndeltas])
     st.graph = new_graph
     st.step_count = state.step_count + 1
     return st

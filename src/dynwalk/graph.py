@@ -3,8 +3,8 @@
 The graph is undirected, loop-free, with every degree capped by d.  Batches
 of edge changes are validated in order and either applied atomically or
 rejected at the first offending operation.  Application also reports the
-net set of transition-matrix entry deltas, which is what the dynamic
-maintenance layer consumes.
+net set of entry deltas of the integer matrix 2d T, which is what the
+dynamic maintenance layer consumes.
 """
 
 from __future__ import annotations
@@ -146,10 +146,12 @@ def lazy_transition(g: DynGraph) -> RatMatrix:
 def validate_and_apply(g: DynGraph, batch: EdgeBatch):
     """Apply a batch sequentially or reject it without touching the graph.
 
-    Returns the new graph plus the net transition-entry deltas as a set of
-    (row, col, delta) triples: inserting (u, v) adds 1/(2d) at (u, v) and
-    (v, u) and subtracts 1/(2d) from both diagonal entries; deletion is the
-    mirror image.  Ops that cancel within the batch produce no deltas.
+    Returns the new graph plus the net entry deltas of N = 2d T as a set
+    of (row, col, delta) triples of ints, that is, deltas of the
+    transition matrix in units of 1/(2d): inserting (u, v) adds 1 at
+    (u, v) and (v, u) and subtracts 1 from both diagonal entries;
+    deletion is the mirror image.  Ops that cancel within the batch
+    produce no deltas.
 
     Only the batch's vertices and edges are checked: the rest of the
     graph was valid when it was built, so the new graph takes the edge
@@ -158,13 +160,14 @@ def validate_and_apply(g: DynGraph, batch: EdgeBatch):
     """
     adj = set(g.adjacency)
     degs = list(g.degrees)
-    half = Rat(1, 2 * g.d)
     net = {}
 
     def bump(r, c, delta):
         key = (r, c)
-        net[key] = net.get(key, Rat(0)) + delta
-        if net[key] == 0:
+        v = net.get(key, 0) + delta
+        if v:
+            net[key] = v
+        else:
             del net[key]
 
     for i, op in enumerate(batch):
@@ -184,20 +187,20 @@ def validate_and_apply(g: DynGraph, batch: EdgeBatch):
             adj.add(e)
             degs[u] += 1
             degs[v] += 1
-            bump(u, v, half)
-            bump(v, u, half)
-            bump(u, u, -half)
-            bump(v, v, -half)
+            bump(u, v, 1)
+            bump(v, u, 1)
+            bump(u, u, -1)
+            bump(v, v, -1)
         else:
             if e not in adj:
                 raise BatchRejected(i, f"edge ({e[0]}, {e[1]}) not present")
             adj.remove(e)
             degs[u] -= 1
             degs[v] -= 1
-            bump(u, v, -half)
-            bump(v, u, -half)
-            bump(u, u, half)
-            bump(v, v, half)
+            bump(u, v, -1)
+            bump(v, u, -1)
+            bump(u, u, 1)
+            bump(v, v, 1)
 
     new_graph = DynGraph._unchecked(g.n, g.d, adj, degs)
     deltas = {(r, c, delta) for (r, c), delta in net.items()}

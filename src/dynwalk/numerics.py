@@ -25,7 +25,6 @@ __all__ = [
     "rat",
     "round_div",
     "truncate_to_bits",
-    "pow2",
     "format_rat",
     "parse_rat",
     "PrecisionBudget",
@@ -72,13 +71,6 @@ def truncate_to_bits(r, bits: int):
     if scaled.denominator == 1:
         return r
     return Rat(round_div(scaled.numerator, scaled.denominator), 1 << bits)
-
-
-def pow2(exponent: int):
-    """2**exponent as an exact rational; exponent may be negative."""
-    if exponent >= 0:
-        return Rat(1 << exponent)
-    return Rat(1, 1 << (-exponent))
 
 
 def format_rat(r) -> str:

@@ -12,6 +12,13 @@ from dynwalk.expander import TesterConfig
 TesterConfig.__test__ = False
 
 
+def pow2(exponent):
+    """2**exponent as an exact rational; exponent may be negative."""
+    if exponent >= 0:
+        return Rat(1 << exponent)
+    return Rat(1, 1 << (-exponent))
+
+
 def rand_rat(rng, num_bound=9, den_bound=9):
     return Rat(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
 
@@ -165,11 +172,12 @@ def random_batch(rng, graph, max_ops, min_ops=1):
 # -- folds by definition ---------------------------------------------------
 
 
-def woodbury_fold(f, tdeltas, k):
+def woodbury_fold(f, tdeltas, k, den=1):
     """F + F[:, u_in] zW (sum of (zCW)^i) F[u_out, :] mod z^(J+1), in Rat polynomials.
 
     f is F as a PolyMatrix in z, tdeltas are (row, col, delta) entry
-    deltas of T, C = F[u_out, u_in] and J = ceil(k/2).  This is the fold
+    deltas of T in units of 1/den (den = 2d for the deltas
+    ``validate_and_apply`` reports), C = F[u_out, u_in] and J = ceil(k/2).  This is the fold
     of one batch written out with PolyMatrix products, for any F at all,
     so it is the reference for bits mode too, where F is rounded.
     """
@@ -180,7 +188,7 @@ def woodbury_fold(f, tdeltas, k):
         return f
     w = [[Rat(0)] * len(u_out) for _ in u_in]
     for r, c, delta in tdeltas:
-        w[u_in.index(r)][u_out.index(c)] += delta
+        w[u_in.index(r)][u_out.index(c)] += Rat(delta) / den
     zw = PolyMatrix([[UniPoly([0, v]) for v in row] for row in w])
     n = f.nrows
     r = PolyMatrix([[f.rows[s][u] for u in u_in] for s in range(n)])

@@ -10,7 +10,7 @@ import random
 import time
 from pathlib import Path
 
-from dynwalk.numerics import Rat, pow2, rat, truncate_to_bits
+from dynwalk.numerics import Rat, rat, truncate_to_bits
 from dynwalk.poly import EvalGrid, UniPoly, divide_monic, interpolate
 from dynwalk.linalg import PolyMatrix, RatMatrix, det_poly, det_rational_crt
 from dynwalk.matpow import naive_power, power_large, small_powers_via_series
@@ -40,6 +40,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     matching_graph,
+    pow2,
     rand_rat,
     rand_rat_matrix,
     random_batch,

@@ -2,13 +2,14 @@
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
 from dynwalk import dyncore, matpow
-from dynwalk.numerics import BudgetExhausted, Rat, pow2, rat
+from dynwalk.numerics import BudgetExhausted, Rat, rat
 from dynwalk.poly import UniPoly
 from dynwalk.linalg import PolyMatrix, RatMatrix
 from dynwalk.graph import (
@@ -38,7 +39,7 @@ from dynwalk.dyncore import (
     state_from_matrix,
 )
 
-from conftest import rand_rat, random_batch, random_graph, truncate_all, woodbury_fold
+from conftest import pow2, rand_rat, random_batch, random_graph, truncate_all, woodbury_fold
 
 
 def batch(*ops):
@@ -132,55 +133,64 @@ def test_empty_deltas_make_empty_gadgets():
     st = initial_state(2, 1, 4)
     (gadget,) = build_delta_gadgets(st, set())
     assert gadget.is_empty()
+    assert (gadget.weights, gadget.new_rows) == ((), {})
     st2 = apply_gadget(st, gadget)
     assert st2.G == st.G
+    assert st2.N == st.N
     assert st2.version == st.version + 1
 
 
 def test_single_insert_makes_one_gadget():
     st = state_from_matrix(RatMatrix.zeros(2, 2), 4)
-    (gadget,) = build_delta_gadgets(st, {(0, 3, rat(1, 2))})
+    (gadget,) = build_delta_gadgets(st, {(0, 3, 2)})
     assert not gadget.is_empty()
     assert gadget.u_in == (0,)
     assert gadget.u_out == (3,)
-    assert gadget.weights == RatMatrix([[rat(1, 2)]])
+    assert gadget.weights == ((2,),)
     assert gadget.expected_version == st.version
     assert gadget.size == 2
 
 
 def test_mixed_signs_share_one_gadget():
+    # N = 2d T = 4 I on the empty graph, and the deltas are ints of N
     st = initial_state(4, 2, 4)
-    deltas = {(0, 6, rat(1, 4)), (1, 4, rat(1, 4)), (0, 4, rat(-1, 4)), (1, 5, rat(-1, 4))}
+    deltas = {(0, 6, 1), (1, 4, 1), (0, 4, -1), (1, 5, -1)}
     (gadget,) = build_delta_gadgets(st, deltas)
     assert gadget.u_in == (0, 1)
     assert gadget.u_out == (4, 5, 6)
-    assert gadget.weights == RatMatrix(
-        [[rat(-1, 4), rat(0), rat(1, 4)], [rat(1, 4), rat(-1, 4), rat(0)]]
-    )
-    assert gadget.deltas == tuple(sorted(deltas))
+    assert gadget.weights == ((-1, 0, 1), (1, -1, 0))
+    assert all(type(w) is int for row in gadget.weights for w in row)
+    assert gadget.new_rows == {0: [3, 0, 1, 0], 1: [1, 3, 0, 0]}
+    assert st.N == [[4 * (s == t) for t in range(4)] for s in range(4)]
     assert gadget.expected_version == st.version
 
 
 def test_zero_deltas_are_dropped():
     st = initial_state(2, 1, 4)
-    (gadget,) = build_delta_gadgets(st, {(0, 3, rat(0))})
+    (gadget,) = build_delta_gadgets(st, {(0, 3, 0)})
     assert gadget.is_empty()
 
 
 def test_deltas_outside_top_right_block_rejected():
     st = initial_state(2, 1, 4)
-    for bad in ((0, 0, rat(1, 2)), (3, 0, rat(1, 2)), (2, 3, rat(1, 2)), (0, 4, rat(1, 2))):
+    for bad in ((0, 0, 1), (3, 0, 1), (2, 3, 1), (0, 4, 1)):
         with pytest.raises(ValueError, match="top-right"):
             build_delta_gadgets(st, {bad})
 
 
+def test_gadget_deltas_must_be_ints_of_n():
+    st = initial_state(2, 1, 4)
+    with pytest.raises(TypeError):
+        build_delta_gadgets(st, {(0, 3, rat(1, 2))})
+
+
 def test_stale_gadget_rejected():
     st = initial_state(2, 1, 4)
-    (gadget,) = build_delta_gadgets(st, {(0, 3, rat(1, 2)), (1, 2, rat(-1, 4))})
+    (gadget,) = build_delta_gadgets(st, {(0, 3, 1), (1, 2, -1)})
     once = apply_gadget(st, gadget)
     with pytest.raises(StaleGadgetError, match="version"):
         apply_gadget(once, gadget)
-    (later,) = build_delta_gadgets(once, {(1, 3, rat(1, 4))})
+    (later,) = build_delta_gadgets(once, {(1, 3, 1)})
     with pytest.raises(StaleGadgetError, match="version"):
         apply_gadget(apply_gadget(once, later), gadget)
     with pytest.raises(StaleGadgetError, match="version"):
@@ -231,6 +241,7 @@ def test_single_delta_matches_oracle_recompute():
 def portal_correction(
     g: PolyMatrix,
     gadget: DeltaGadget,
+    den: int,
     s: int,
     t: int,
     k: int,
@@ -238,7 +249,8 @@ def portal_correction(
 ) -> UniPoly:
     """Reference route: the literal portal-matrix power sum for one pair.
 
-    Builds the full gadget matrix over u_in + u_out + two portal slots
+    The gadget's weights are ints of N = den T.  Builds the full gadget
+    matrix over u_in + u_out + two portal slots
     (portals stay distinct from every affected index even when s or t is
     itself affected) and returns sum of Delta^m [portal_s, portal_t] for
     m = 1..max_power, mod x^(k+1).  max_power defaults to 2k+1, which is
@@ -253,9 +265,9 @@ def portal_correction(
     rows = [[zero] * dim for _ in range(dim)]
     for i in range(p):
         for j in range(q):
-            w = gadget.weights.rows[i][j]
+            w = gadget.weights[i][j]
             if w != 0:
-                rows[i][p + j] = UniPoly([0, w])
+                rows[i][p + j] = UniPoly([0, Rat(w, den)])
     for j in range(q):
         for i in range(p):
             rows[p + j][i] = g.rows[gadget.u_out[j]][gadget.u_in[i]]
@@ -284,11 +296,11 @@ def test_fast_path_equals_portal_construction():
         if not tdeltas:  # a delete and re-insert of one edge cancel out
             continue
         (gadget,) = build_delta_gadgets(st, [(r, 3 + c, d) for (r, c, d) in tdeltas])
-        assert {w > 0 for row in gadget.weights.rows for w in row if w} == {False, True}
+        assert {w > 0 for row in gadget.weights for w in row if w} == {False, True}
         done = apply_gadget(st, gadget)
         for s in range(6):
             for t in range(6):
-                want = st.G.rows[s][t] + portal_correction(st.G, gadget, s, t, st.K)
+                want = st.G.rows[s][t] + portal_correction(st.G, gadget, st.P.den, s, t, st.K)
                 assert done.G.rows[s][t] == want
 
 
@@ -303,8 +315,8 @@ def test_portal_power_horizon_is_stable():
     (gadget,) = build_delta_gadgets(st, [(r, 3 + c, d) for (r, c, d) in tdeltas])
     k = st.K
     for s, t in ((0, 0), (0, 4), (2, 5), (1, 1)):
-        base = portal_correction(st.G, gadget, s, t, k)
-        assert portal_correction(st.G, gadget, s, t, k, max_power=2 * k + 3) == base
+        base = portal_correction(st.G, gadget, st.P.den, s, t, k)
+        assert portal_correction(st.G, gadget, st.P.den, s, t, k, max_power=2 * k + 3) == base
 
 
 # -- batch-level behavior --------------------------------------------------------------
@@ -314,15 +326,17 @@ def test_portal_power_horizon_is_stable():
     "threshold,route,k",
     [
         pytest.param(4, "charpoly", 4, id="4-charpoly"),
-        pytest.param(DEFAULT_CASCADE_THRESHOLD, "direct", 4, id="12-direct"),
+        pytest.param(12, "direct", 4, id="12-direct"),
         pytest.param(4, "charpoly", 2, id="4-charpoly-K2"),
-        pytest.param(DEFAULT_CASCADE_THRESHOLD, "direct", 2, id="12-direct-K2"),
+        pytest.param(12, "direct", 2, id="12-direct-K2"),
+        pytest.param(DEFAULT_CASCADE_THRESHOLD, "direct", 4, id="default-direct"),
     ],
 )
 def test_churn_batch_folds_as_one_gadget(monkeypatch, threshold, route, k):
     """A delete plus an insert on four distinct vertices, the shape of every
     benchmark churn batch, is one gadget of size 8: it takes the cascade
-    route at threshold 4 and the direct route at the default.  The core
+    route at threshold 4 and the direct route at threshold 12 and at the
+    default, which sends no gadget to the cascade.  The core
     power sum runs to J - 1 for J = ceil(K/2), since the correction
     carries a factor z; at K = 2 the core is the identity.  The direct
     route sums packed ints in dyncore, the cascade route goes through
@@ -524,7 +538,7 @@ def _no_b_view(self):
 
 def test_state_stores_only_the_half_size_f(monkeypatch):
     fields = {f.name for f in dataclasses.fields(DynState)}
-    assert "G" not in fields and "B" not in fields
+    assert "G" not in fields and "B" not in fields and "T" not in fields
     for k in range(1, 7):
         st = state_from_matrix(RatMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), k)
         assert (st.F.nrows, st.F.ncols) == (3, 3)
@@ -558,28 +572,28 @@ def test_update_shares_untouched_rows_and_leaves_the_old_snapshot_valid():
     path = {(i, i + 1) for i in range(7)} | {(8, 9), (9, 10), (10, 11)}
     old = state_from_graph(DynGraph(n, 2, frozenset(path)), k)
     f_before = [list(r) for r in old.P.rows]
-    t_before = [list(r) for r in old.T.rows]
+    n_before = [list(r) for r in old.N]
     new = apply_batch(old, batch(("delete", 1, 2), ("insert", 0, 2)))
     assert new.G == fresh_oracle(new)
     assert [list(r) for r in old.P.rows] == f_before
-    assert [list(r) for r in old.T.rows] == t_before
+    assert [list(r) for r in old.N] == n_before
     assert old.G == fresh_oracle(old)
     # the batch touches vertices 0, 1, 2; F holds powers of T up to
     # J = ceil(K/2) = 2, and the correction carries a factor z, so only
     # rows within J - 1 = 1 hop of the batch change: vertices 4..11 are
     # outside that ball and their rows of F must be shared, not copied
-    # (vertex 3 is one hop from 2); T changes only in rows 0, 1, 2, so
-    # every other row of T is shared
+    # (vertex 3 is one hop from 2); N = 2d T changes only in rows 0, 1,
+    # 2, so every other row of N is shared
     for v in range(4, n):
         assert new.P.rows[v] is old.P.rows[v]
     for v in range(3, n):
-        assert new.T.rows[v] is old.T.rows[v]
+        assert new.N[v] is old.N[v]
     # rows the batch touched are new lists; the old ones stay as they were
     for v in (0, 1, 2):
         assert new.P.rows[v] != f_before[v]
         assert new.P.rows[v] is not old.P.rows[v]
-        assert new.T.rows[v] != t_before[v]
-        assert new.T.rows[v] is not old.T.rows[v]
+        assert new.N[v] != n_before[v]
+        assert new.N[v] is not old.N[v]
 
 
 def test_a_support_row_with_a_zero_correction_stays_shared():
@@ -600,25 +614,30 @@ def test_a_support_row_with_a_zero_correction_stays_shared():
 
 
 def test_exact_apply_gadget_builds_no_rat(monkeypatch):
-    """The exact fold on a graph state runs on packed ints alone: apply_gadget
-    constructs no Fraction, on either core route."""
+    """An exact batch on a graph state is integer from the edge op to the
+    packed fold: apply_batch, through validate_and_apply,
+    build_delta_gadgets and apply_gadget, constructs no Fraction, on
+    either core route."""
     if Rat is not Fraction:
         pytest.skip("counts fractions.Fraction constructions")
-    made, inside, calls = [0], [False], [0]
-    real_new, real_apply = Fraction.__new__, dyncore.apply_gadget
+    made, inside, calls = [0], [False], Counter()
+    real_new = Fraction.__new__
 
     def counting_new(cls, *args, **kwargs):
         made[0] += inside[0]
         return real_new(cls, *args, **kwargs)
 
-    def watched_apply(state, gadget):
-        calls[0] += 1
-        inside[0] = True
-        try:
-            return real_apply(state, gadget)
-        finally:
-            inside[0] = False
+    def counted(name):
+        real = getattr(dyncore, name)
 
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(dyncore, name, wrapper)
+
+    for name in ("validate_and_apply", "build_delta_gadgets", "apply_gadget"):
+        counted(name)
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
     if "_from_coprime_ints" in Fraction.__dict__:  # results built without __new__
         real_coprime = Fraction._from_coprime_ints
@@ -628,14 +647,18 @@ def test_exact_apply_gadget_builds_no_rat(monkeypatch):
             return real_coprime(*args)
 
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
-    monkeypatch.setattr(dyncore, "apply_gadget", watched_apply)
     rng = random.Random(911)
     for threshold, k in ((DEFAULT_CASCADE_THRESHOLD, 4), (DEFAULT_CASCADE_THRESHOLD, 8), (0, 6)):
         st = state_from_graph(random_graph(rng, 8, 3, fill=0.7), k, cascade_threshold=threshold)
         for _ in range(4):
-            st = apply_batch(st, random_batch(rng, st.graph, 3))
+            b = random_batch(rng, st.graph, 3)
+            inside[0] = True
+            try:
+                st = apply_batch(st, b)
+            finally:
+                inside[0] = False
             assert st.G == fresh_oracle(st)
-    assert calls[0] == 12
+    assert calls == {"validate_and_apply": 12, "build_delta_gadgets": 12, "apply_gadget": 12}
     assert made[0] == 0
 
 
@@ -751,12 +774,66 @@ def test_property_cascade_route_matches_oracles(n, d, k, rng):
         _assert_matches_oracles(st)
 
 
+def _churn_batch(rng, graph, kind):
+    """A random batch against graph of one kind, and whether it is valid.
+
+    "mixed" is a valid batch of inserts and deletes; "cancel" starts with
+    an op and its undo, then more valid ops; "reject" is a valid batch
+    with one bad op put in at a random place.
+    """
+    ops = list(random_batch(rng, graph, 3).ops)
+    if kind == "cancel":
+        first = random_batch(rng, graph, 1).ops
+        undo = [EdgeOp("delete" if op.kind == "insert" else "insert", op.u, op.v) for op in first]
+        ops = [*first, *undo, *ops]
+    elif kind == "reject":
+        n = graph.n
+        bad = rng.choice([("insert", 0, 0), ("insert", 0, n), ("delete", n - 1, n)])
+        ops.insert(rng.randint(0, len(ops)), EdgeOp(*bad))
+    return EdgeBatch(tuple(ops)), kind != "reject"
+
+
+def _stored(st):
+    """A copy of what a state stores, rows and all."""
+    return st.version, [list(r) for r in st.N], [list(r) for r in st.P.rows]
+
+
+@pytest.mark.parametrize("threshold", [0, DEFAULT_CASCADE_THRESHOLD])
+@settings(max_examples=15, deadline=None)
+@given(
+    hst.integers(2, 8),
+    hst.integers(1, 3),
+    hst.integers(1, 6),
+    hst.lists(hst.sampled_from(["mixed", "cancel", "reject"]), min_size=1, max_size=5),
+    hst.randoms(use_true_random=False),
+)
+def test_property_graph_batches_keep_n_t_and_p_exact(threshold, n, d, k, kinds, rng):
+    """After every accepted graph batch, on both core routes, the stored N
+    is 2d T of the graph int for int, the T view is the graph's lazy walk
+    and P is a fresh state's; a rejected batch leaves the state alone."""
+    st = state_from_graph(random_graph(rng, n, d, fill=rng.random()), k, cascade_threshold=threshold)
+    for kind in kinds:
+        b, valid = _churn_batch(rng, st.graph, kind)
+        if not valid:
+            before = _stored(st)
+            with pytest.raises(BatchRejected):
+                apply_batch(st, b)
+            assert _stored(st) == before
+            continue
+        st = apply_batch(st, b)
+        t = lazy_transition(st.graph)
+        assert st.N == [[int(2 * d * v) for v in row] for row in t.rows]
+        assert all(type(v) is int for row in st.N for v in row)
+        assert st.T == t
+        assert st.P == state_from_graph(st.graph, k).P
+
+
 def _bits_fold_reference(state, batch):
     """F after one bits-mode batch by definition: the Rat fold of the stored F, then every coefficient truncated."""
     if len(batch) == 0:
         return state.F
-    _, tdeltas = validate_and_apply(state.graph, batch)
-    return truncate_all(woodbury_fold(state.F, tdeltas, state.K), state.bits)
+    _, ndeltas = validate_and_apply(state.graph, batch)
+    return truncate_all(woodbury_fold(state.F, ndeltas, state.K, 2 * state.d), state.bits)
 
 
 @settings(max_examples=20, deadline=None)
@@ -786,7 +863,7 @@ def test_property_bits_mode_within_certified_bound(n, d, k, bits, rng):
     _assert_matches_oracles(exact)
 
 
-@pytest.mark.parametrize("threshold", [0, DEFAULT_CASCADE_THRESHOLD])
+@pytest.mark.parametrize("threshold", [0, 12])
 @settings(max_examples=15, deadline=None)
 @given(
     hst.integers(2, 6),
@@ -796,8 +873,10 @@ def test_property_bits_mode_within_certified_bound(n, d, k, bits, rng):
 )
 def test_property_bits_mode_on_weighted_digraphs(threshold, n, k, bits, rng):
     """Bits mode on non-symmetric T with signed weights and mixed
-    denominators, on both core routes: each batch gives the Rat fold of
-    the stored F with every coefficient truncated, through repacks."""
+    denominators, on both core routes (a gadget here has at most 8
+    indices, so threshold 12 is the direct route): each batch gives the
+    Rat fold of the stored F with every coefficient truncated, through
+    repacks."""
 
     def weight():
         return rand_rat(rng, 3, 6)
@@ -812,11 +891,13 @@ def test_property_bits_mode_on_weighted_digraphs(threshold, n, k, bits, rng):
         assert st.F == want
 
 
-@pytest.mark.parametrize("threshold", [0, DEFAULT_CASCADE_THRESHOLD])
+@pytest.mark.parametrize("threshold", [0, 12])
 @settings(max_examples=15, deadline=None)
 @given(hst.integers(2, 6), hst.integers(1, 6), hst.randoms(use_true_random=False))
 def test_property_weighted_digraph_matches_oracle(threshold, n, k, rng):
-    """Non-symmetric T with mixed denominators, on both core routes."""
+    """Non-symmetric T with mixed denominators, on both core routes (a
+    gadget here has at most 8 indices, so threshold 12 is the direct
+    route)."""
 
     def weight():
         return rand_rat(rng, 3, 6)

@@ -110,15 +110,12 @@ def test_lazy_transition_row_structure():
 
 
 def test_insert_reports_the_four_deltas():
+    # deltas of N = 2d T, so units of 1/(2d) = 1/2 of T
     g = DynGraph.empty(2, 1)
     new, deltas = validate_and_apply(g, batch(("insert", 0, 1)))
     assert new.has_edge(0, 1)
-    assert deltas == {
-        (0, 1, rat(1, 2)),
-        (1, 0, rat(1, 2)),
-        (0, 0, rat(-1, 2)),
-        (1, 1, rat(-1, 2)),
-    }
+    assert deltas == {(0, 1, 1), (1, 0, 1), (0, 0, -1), (1, 1, -1)}
+    assert all(type(delta) is int for _, _, delta in deltas)
     # the input graph is untouched
     assert not g.has_edge(0, 1)
 
@@ -176,7 +173,7 @@ def test_deltas_reproduce_the_new_transition_matrix():
         t = lazy_transition(g)
         rows = [list(r) for r in t.rows]
         for r, c, delta in deltas:
-            rows[r][c] += delta
+            rows[r][c] += rat(delta, 2 * d)
         assert RatMatrix(rows) == lazy_transition(new)
 
 

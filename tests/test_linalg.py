@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dynwalk.numerics import Rat, pow2, rat
+from dynwalk.numerics import Rat, rat
 from dynwalk.poly import UniPoly, EvalGrid
 from dynwalk.linalg import (
     ModMatrix,
@@ -18,7 +18,7 @@ from dynwalk.linalg import (
 )
 from dynwalk.oracle import det_bareiss
 
-from conftest import rand_rat_matrix, resolvent, small_entry_matrix
+from conftest import pow2, rand_rat_matrix, resolvent, small_entry_matrix
 
 
 def poly_from(*coeffs):

@@ -68,7 +68,7 @@ class ReplayTimeline:
             raise BudgetExhausted("served budget exhausted")
         budget = st.budget.copy()
         budget.spend(1)
-        f = truncate_all(woodbury_fold(st.F, tdeltas, self.cfg.K), self.cfg.bits)
+        f = truncate_all(woodbury_fold(st.F, tdeltas, self.cfg.K, 2 * graph.d), self.cfg.bits)
         return Served(graph, f, budget)
 
     def step(self, batch):

@@ -11,11 +11,12 @@ from dynwalk.numerics import (
     Rat,
     format_rat,
     parse_rat,
-    pow2,
     rat,
     round_div,
     truncate_to_bits,
 )
+
+from conftest import pow2
 
 rationals = st.builds(
     lambda p, q: Rat(p, q),

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynwalk.numerics import Rat, pow2, rat, truncate_to_bits
+from dynwalk.numerics import Rat, rat, truncate_to_bits
 from dynwalk.poly import (
     EvalGrid,
     IntPoly,
@@ -18,7 +18,7 @@ from dynwalk.poly import (
     series_inverse,
 )
 
-from conftest import vandermonde_inverse_norm
+from conftest import pow2, vandermonde_inverse_norm
 
 small_rats = st.builds(lambda p, q: Rat(p, q), st.integers(-50, 50), st.integers(1, 50))
 polys = st.lists(small_rats, min_size=0, max_size=13).map(UniPoly)
