@@ -50,8 +50,10 @@ and B from T, as G is from F.  A graph batch is integer from the edge op
 to the fold: the graph reports its deltas of N (units of 1/(2d)), the
 gadget's weights and N's new rows are ints, and the fold runs on packed
 ints.  Rat remains only at the edges: state_from_matrix's input, the Rat
-deltas apply_entry_deltas takes (one that brings a new denominator
-rescales N and repacks F first), readout and the T, B, F and G views.
+deltas apply_entry_deltas takes on a state built from a matrix (one that
+brings a new denominator rescales N and repacks F first), readout and
+the T, B, F and G views.  A graph state takes only edge batches, so its
+P.den stays 2d.
 The new F and N copy only the rows the gadget changes (F's rows with a
 nonzero correction, N's rows with a delta) and share every other row
 list with the parent snapshot; nothing may mutate stored rows in place.
@@ -184,7 +186,6 @@ class DynState:
     """
 
     n: int
-    d: int
     K: int
     mode: str
     bits: int | None
@@ -304,7 +305,6 @@ def _build(a: RatMatrix, k, mode, bits, cascade_threshold, den: int) -> DynState
         rows.append(row)
     return DynState(
         n=n,
-        d=0,
         K=k,
         mode=mode,
         bits=bits,
@@ -349,7 +349,6 @@ def state_from_graph(
         lazy_transition(graph), k, mode, bits, cascade_threshold, 2 * graph.d
     )
     st.graph = graph.copy()
-    st.d = graph.d
     return st
 
 
@@ -442,10 +441,10 @@ def _core(c_cut, wts, p: PackedF, cascade: bool) -> list:
 
     c_cut is C cut mod y^(J-1) and wts the integer weights delta W; m is
     the state's scale.  The direct route runs on packed ints.  The
-    cascade route unpacks C into IntPoly entries over m and runs
-    ``matpow.power_sum`` on the charpoly route, which returns
-    sum of (zCW/m)^i over some denominator dividing m^(J-1), then packs
-    m^(J-1) times that back.
+    cascade unpacks C into IntPoly entries over m and hands zCW/m to
+    ``matpow.power_sum``, which returns sum of (zCW/m)^i mod z^J over
+    some denominator dividing m^(J-1), then packs m^(J-1) times that
+    back.
     """
     w, m, k = p.width, p.scale, p.slots - 1
     mask = (1 << (w * k)) - 1
@@ -456,7 +455,7 @@ def _core(c_cut, wts, p: PackedF, cascade: bool) -> list:
         return _packed_power_sum(x, k - 1, m, mask)
     c = ScaledMatrix([[IntPoly(digits(e, w, k - 1)) for e in row] for row in c_cut], m)
     wm = ScaledMatrix([[IntPoly((v,)) for v in row] for row in wts])
-    s = matpow.power_sum(c.mul(wm, k - 2), k - 1, method="charpoly")
+    s = matpow.power_sum(c.mul(wm, k - 2), k - 1)
     lift = m ** (k - 1) // s.den
     return [[pack([v * lift for v in e], w) & mask for e in row] for row in s.rows]
 
@@ -569,8 +568,11 @@ def apply_entry_deltas(state: DynState, entry_deltas) -> DynState:
     whose denominator does not divide P.den first moves the state to the
     lcm: N is rescaled and every entry of F repacked.  The deltas then
     fold as integer deltas of N, as a graph batch does; bits mode is
-    handled as there.
+    handled as there.  A graph state is refused: its T must stay the
+    lazy walk of its graph, so it changes only through apply_batch.
     """
+    if state.graph is not None:
+        raise ValueError("state has a graph; use apply_batch")
     triples = [(r, c, Rat(dl)) for r, c, dl in entry_deltas]
     den = math.lcm(state.P.den, *(dl.denominator for _, _, dl in triples))
     if den != state.P.den:
@@ -604,9 +606,8 @@ def apply_batch(state: DynState, batch: EdgeBatch) -> DynState:
         raise BudgetExhausted(
             f"precision budget exhausted after {state.step_count} steps"
         )
-    # P.den is 2d unless apply_entry_deltas brought a new denominator
-    n, up = state.n, state.P.den // (2 * state.d)
-    st = _folded(state, [(r, n + c, delta * up) for (r, c, delta) in ndeltas])
+    n = state.n
+    st = _folded(state, [(r, n + c, delta) for r, c, delta in ndeltas])
     st.graph = new_graph
     st.step_count = state.step_count + 1
     return st

@@ -19,10 +19,10 @@ elimination per grid point yields det(I - uA) and all n^2 Cramer
 numerators at once, and the characteristic polynomial is the reversal of
 det(I - uA).
 
-``ScaledMatrix`` is the integer working form of the dynamic layer and of
-the power machinery: integer entries, or integer coefficient lists, over
-one common denominator, so that a product costs integer multiplications
-only and no gcd.
+``ScaledMatrix`` is the integer working form of the power machinery and
+of the dynamic layer's cascade: integer entries, or integer coefficient
+lists, over one common denominator, so that a product costs integer
+multiplications only and no gcd.
 """
 
 from __future__ import annotations
@@ -81,25 +81,6 @@ class RatMatrix:
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "RatMatrix":
         return RatMatrix([[R0] * ncols for _ in range(nrows)])
-
-    def with_rows(self, replacements):
-        """A copy with the rows in ``replacements`` (index -> list) swapped in.
-
-        Every other row list is shared with this matrix, not copied, so
-        neither matrix may have its rows mutated in place afterwards.
-        Only the replaced rows' indices and widths are checked; their
-        entries must already be of the matrix's entry type.
-        """
-        rows = list(self.rows)
-        for i, row in replacements.items():
-            if not 0 <= i < self.nrows:
-                raise ValueError(f"row {i} out of range")
-            if len(row) != self.ncols:
-                raise ValueError("ragged matrix")
-            rows[i] = row
-        out = type(self).__new__(type(self))
-        out.rows, out.nrows, out.ncols = rows, self.nrows, self.ncols
-        return out
 
     @property
     def is_square(self) -> bool:
@@ -191,9 +172,6 @@ class PolyMatrix:
             [[UniPoly.constant(v) if v else zero for v in row] for row in m.rows]
         )
 
-    # the same copy-on-write row swap as RatMatrix's
-    with_rows = RatMatrix.with_rows
-
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -267,10 +245,11 @@ class ScaledMatrix:
 
     The exact matrix is rows / den.  A constant matrix holds ints (the
     form a power table takes); a polynomial matrix holds IntPoly entries,
-    the zero entry being the empty IntPoly (the form the gadget products
-    and ``power_sum`` take).  Rationals enter through ``of_rats`` and
-    ``of_polys``, which clear one denominator for the whole block, and
-    leave through ``to_poly`` (or the dynamic layer's fold into G); every
+    the zero entry being the empty IntPoly (the form ``power_sum`` takes).
+    Rationals enter through ``of_rats`` and ``of_polys``, which clear one
+    denominator for the whole block, and leave through ``to_poly``; the
+    dynamic layer's cascade builds its core from packed ints and packs the
+    result's integer rows back, so it crosses no Rat at all.  Every
     product in between is integer arithmetic, and a product's denominator
     is the product of its factors' denominators.
     """
@@ -329,13 +308,6 @@ class ScaledMatrix:
                 [UniPoly([Rat(v, den) for v in e]) if e else zero for e in row]
                 for row in self.rows
             ]
-        )
-
-    def times_x(self, trunc: int) -> "ScaledMatrix":
-        """x times a polynomial ScaledMatrix, cut mod x^(trunc+1)."""
-        return ScaledMatrix(
-            [[IntPoly((0, *e[:trunc])) if e else e for e in row] for row in self.rows],
-            self.den,
         )
 
     def mul(self, other: "ScaledMatrix", trunc: int) -> "ScaledMatrix":

@@ -23,20 +23,21 @@ Everything here runs on integer matrices over one common denominator
   least the dimension is first reduced modulo the monic integer
   characteristic polynomial of A_g, the reversal of the table's
   det(I - uA_g), so only powers below the dimension are formed.
-  ``power_large`` (one power M(x)^k) and the cascade route of
-  ``power_sum`` (the truncated resolvent sum used by the dynamic layer)
-  are both this one loop; the cascade first cuts M mod x^k, all that its
-  truncation reads, so its grid is sized to the answer.
+  ``power_large`` (one power M(x)^k) and ``power_sum`` (the truncated
+  resolvent sum, which the dynamic layer takes only for gadget cores
+  above its opt-in ``cascade_threshold``) are both this one loop;
+  ``power_sum`` first cuts M mod x^k, all that its truncation reads, so
+  its grid is sized to the answer.
 
 Rat enters and leaves only at the public edges: a RatMatrix or PolyMatrix
 argument is brought to integers over its common denominator once;
 ``PowerTable`` indexing hands back Rat objects; and
 ``power_large``, and ``power_sum`` given a PolyMatrix, return a
-PolyMatrix.  The dynamic layer hands ``power_sum`` a ScaledMatrix and
-gets one back, so its core power sum builds no Rat at all.
+PolyMatrix.  The dynamic layer's cascade hands ``power_sum`` a
+ScaledMatrix and gets one back, so its core power sum builds no Rat.
 
-``power_sum`` brings any input within the magnitude preconditions of the
-charpoly route by an exact power-of-two prescale.  ``power_large`` and
+``power_sum`` brings any input within the magnitude preconditions of
+``_grid_power_sum`` by an exact power-of-two prescale.  ``power_large`` and
 ``small_powers_via_series`` enforce their bounds (constant terms at most
 1/(3n), absolute row sums below one after evaluation) and do not repair
 them: an input outside them is a contract error.
@@ -306,18 +307,15 @@ def _identity(n: int) -> ScaledMatrix:
     return ScaledMatrix([[one if s == t else zero for t in range(n)] for s in range(n)])
 
 
-def power_sum(mat, k: int, method: str = "direct"):
+def power_sum(mat, k: int):
     """I + (xM) + (xM)^2 + ... + (xM)^k with entries cut mod x^(k+1).
 
     M is a PolyMatrix, for which the answer is a PolyMatrix, or a
     polynomial ScaledMatrix, for which it is a ScaledMatrix over the
-    least common denominator of its entries; both routes compute in
-    integers.  ``method="direct"`` accumulates successive truncated
-    products and stops early once a power vanishes under the truncation
-    (each factor of xM raises the minimum degree, so termination is
-    certain).  ``method="charpoly"`` is the cascade path, selected by the
-    dynamic layer for oversized gadget cores.  Those carry walk sums and
-    need not meet ``power_large``'s magnitude preconditions.  Term i,
+    least common denominator of its entries; both compute in integers.
+    This is the cascade, which the dynamic layer takes for gadget cores
+    larger than its opt-in ``cascade_threshold``.  Those carry walk sums
+    and need not meet ``power_large``'s magnitude preconditions.  Term i,
     x^i M^i mod x^(k+1), reads only M mod x^(k+1-i), so M is first cut
     mod x^k, which serves every i >= 1; a cut that leaves M zero gives
     the identity.  The cut M is divided by the least power of two c = 2^e
@@ -326,32 +324,18 @@ def power_sum(mat, k: int, method: str = "direct"):
     survive the truncation are then one ``_grid_power_sum`` of the terms
     (c x)^i z^i over M/c, since (c x)^i (M/c)(x)^i = x^i M(x)^i exactly;
     with d the degree of M, its entries have degree at most
-    (min(d, k-1) + 1) i_max and are cut mod x^(k+1).  Any input therefore
-    gives the same sum as the direct route.
+    (min(d, k-1) + 1) i_max and are cut mod x^(k+1).
     """
-    if method not in ("direct", "charpoly"):
-        raise ValueError(f"unknown power_sum method {method!r}")
     if isinstance(mat, PolyMatrix):
-        return power_sum(ScaledMatrix.of_polys(mat.rows, k - 1), k, method).to_poly()
+        return power_sum(ScaledMatrix.of_polys(mat.rows, k - 1), k).to_poly()
     n = mat.nrows
     if any(len(row) != n for row in mat.rows):
         raise ValueError("power sum of a non-square matrix")
     if k < 0:
         raise ValueError("negative truncation")
     total = _identity(n)
-    entries = [e for row in mat.rows for e in row if e]
-    if n == 0 or k == 0 or not entries:
+    if n == 0 or k == 0:
         return total
-    if method == "direct":
-        shifted = mat.times_x(k)
-        term = shifted
-        i = 1
-        while i <= k and any(e for row in term.rows for e in row):
-            total = total.add(term)
-            i += 1
-            if i <= k:
-                term = term.mul(shifted, k)
-        return total.reduced()
     # x^i M^i mod x^(k+1) reads only M mod x^(k+1-i), so for every
     # i >= 1 the grid needs M only mod x^k
     mat = mat.truncated(k - 1)
@@ -363,11 +347,10 @@ def power_sum(mat, k: int, method: str = "direct"):
     while bound * 3 * n > c * mat.den:
         c *= 2
     # x^i M^i contributes nothing once the minimum entry degree pushes
-    # every coefficient past the truncation
+    # every coefficient past the truncation; every entry left by the cut
+    # has low <= k - 1, so i_max >= 1
     low = min(next(j for j, v in enumerate(e) if v) for e in entries)
     i_max = k // (1 + low)
-    if i_max == 0:
-        return total
     degree = max(len(e) for e in entries) * i_max
     terms = [(i, c**i, i) for i in range(1, i_max + 1)]
     core = _grid_power_sum(ScaledMatrix(mat.rows, c * mat.den), terms, degree)

@@ -349,10 +349,10 @@ def test_churn_batch_folds_as_one_gadget(monkeypatch, threshold, route, k):
         sizes.append(gadget.size)
         return real_apply(state, gadget)
 
-    def recording_power_sum(mat, deg, method="direct"):
-        methods.append(method)
+    def recording_power_sum(mat, deg):
+        methods.append("charpoly")
         degrees.append(deg)
-        return real_power_sum(mat, deg, method)
+        return real_power_sum(mat, deg)
 
     def recording_packed(x, terms, scale, mask):
         methods.append("direct")
@@ -400,6 +400,17 @@ def test_graphless_state_rejects_batches():
     st = state_from_matrix(RatMatrix.zeros(2, 2), 4)
     with pytest.raises(ValueError, match="no graph"):
         apply_batch(st, batch(("insert", 0, 1)))
+
+
+def test_graph_state_rejects_entry_deltas():
+    # a raw delta would move T off the lazy walk of the graph (here P.den
+    # would go from 4 to 12), so a later batch would fold into the wrong T
+    st = state_from_graph(DynGraph(4, 2, {(0, 1)}), 4)
+    with pytest.raises(ValueError, match="use apply_batch"):
+        apply_entry_deltas(st, [(0, 6, rat(1, 3))])
+    st2 = apply_batch(st, batch(("insert", 2, 3)))
+    assert st2.P == state_from_graph(st2.graph, 4).P
+    assert st2.T == lazy_transition(st2.graph)
 
 
 def test_disjoint_batches_commute_exactly():
@@ -833,7 +844,7 @@ def _bits_fold_reference(state, batch):
     if len(batch) == 0:
         return state.F
     _, ndeltas = validate_and_apply(state.graph, batch)
-    return truncate_all(woodbury_fold(state.F, ndeltas, state.K, 2 * state.d), state.bits)
+    return truncate_all(woodbury_fold(state.F, ndeltas, state.K, 2 * state.graph.d), state.bits)
 
 
 @settings(max_examples=20, deadline=None)

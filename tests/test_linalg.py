@@ -62,54 +62,6 @@ def test_poly_matrix_basics():
     assert a.scale_poly(poly_from(0, 1))[0, 0] == poly_from(0, 0, 1)
 
 
-def _three_rows():
-    return PolyMatrix(
-        [[poly_from(i, j) for j in range(3)] for i in range(3)]
-    )
-
-
-def test_with_rows_equals_dense_build_and_shares_the_rest():
-    a = _three_rows()
-    new_row = [poly_from(7), UniPoly.zero(), poly_from(0, 0, 1)]
-    b = a.with_rows({1: new_row})
-    dense = PolyMatrix([a.rows[0], new_row, a.rows[2]])
-    assert b == dense
-    assert (b.nrows, b.ncols) == (dense.nrows, dense.ncols)
-    assert b.rows[0] is a.rows[0] and b.rows[2] is a.rows[2]
-    assert a.with_rows({}) == a
-
-
-def test_with_rows_leaves_the_source_unchanged():
-    a = _three_rows()
-    before = [list(r) for r in a.rows]
-    row_ids = [id(r) for r in a.rows]
-    a.with_rows({0: [UniPoly.one()] * 3, 2: [UniPoly.zero()] * 3})
-    assert a.rows == before
-    assert [id(r) for r in a.rows] == row_ids
-
-
-def test_with_rows_rejects_bad_rows():
-    # only a replaced row's index and width are checked, on both kinds
-    for a, e in ((_three_rows(), UniPoly.one()), (RatMatrix.identity(3), rat(1, 2))):
-        with pytest.raises(ValueError, match="ragged"):
-            a.with_rows({1: [e] * 2})
-        with pytest.raises(ValueError, match="ragged"):
-            a.with_rows({1: [e] * 4})
-        with pytest.raises(ValueError, match="out of range"):
-            a.with_rows({3: [e] * 3})
-        with pytest.raises(ValueError, match="out of range"):
-            a.with_rows({-1: [e] * 3})
-
-
-def test_rat_with_rows_shares_the_rest():
-    a = RatMatrix([[1, 2], [3, 4]])
-    b = a.with_rows({0: [rat(1, 2), Rat(0)]})
-    assert type(b) is RatMatrix
-    assert b == RatMatrix([[rat(1, 2), 0], [3, 4]])
-    assert b.rows[1] is a.rows[1]
-    assert a == RatMatrix([[1, 2], [3, 4]])
-
-
 def test_from_rat_rows_equals_the_coercing_build():
     rows = [[rat(1, 2), rat(0)], [rat(-3, 4), rat(5)]]
     m = RatMatrix.from_rat_rows([list(r) for r in rows])

@@ -250,15 +250,15 @@ def test_power_sum_charpoly_route_agrees():
         size = rng.randint(1, 3)
         m = admissible_poly_matrix(rng, size, 1)
         k = rng.randint(1, 6)
-        assert power_sum(m, k, method="charpoly") == power_sum(m, k, method="direct")
+        assert power_sum(m, k) == exact_power_sum(m, k)
     # outside power_large's bounds: power_sum must prescale them
     for _ in range(4):
         size = rng.randint(1, 3)
         m = heavy_poly_matrix(rng, size, 1)
         k = rng.randint(2, 5)
-        assert power_sum(m, k, method="charpoly") == power_sum(m, k, method="direct")
+        assert power_sum(m, k) == exact_power_sum(m, k)
     const = PolyMatrix([[poly_from(rat(1, 3)), poly_from(1)], [poly_from(2), poly_from(0, 1)]])
-    assert power_sum(const, 4, method="charpoly") == power_sum(const, 4, method="direct")
+    assert power_sum(const, 4) == exact_power_sum(const, 4)
 
 
 def count_cascade_calls(monkeypatch):
@@ -291,9 +291,9 @@ def test_cascade_power_sum_builds_one_table_per_grid_point(monkeypatch):
     # degree d = 1 and constant terms everywhere, so i_max = k = 3 >= n = 2:
     # the cut mod x^k keeps d = 1, (min(d, k - 1) + 1) i_max + 1 = 7 grid
     # points, and x = 0 needs no table
-    got = power_sum(m, 3, method="charpoly")
+    got = power_sum(m, 3)
     assert calls == {"table": 6, "divide": 6}
-    assert got == power_sum(m, 3, method="direct")
+    assert got == exact_power_sum(m, 3)
 
 
 def test_cascade_power_sum_cuts_the_core_before_the_grid(monkeypatch):
@@ -307,28 +307,24 @@ def test_cascade_power_sum_cuts_the_core_before_the_grid(monkeypatch):
     # degree d = 3 and constant terms, so i_max = k = 2 = n.  The cut mod
     # x^2 leaves degree 1: (1 + 1) * 2 + 1 = 5 grid points, 4 tables and 4
     # divisions, where the uncut core would take 9 points, 8 and 8
-    got = power_sum(m, 2, method="charpoly")
+    got = power_sum(m, 2)
     assert calls == {"table": 4, "divide": 4}
-    assert got == power_sum(m, 2, method="direct")
+    assert got == exact_power_sum(m, 2)
 
 
 @settings(deadline=None, max_examples=40)
 @given(hst.integers(1, 3), hst.integers(1, 4), hst.data())
 def test_cut_charpoly_route_matches_oracle_on_high_degree_cores(size, k, data):
-    """Entry degrees up to k + 2, past the cut mod x^k: the charpoly route
-    still equals the oracle's Horner sum."""
+    """Entry degrees up to k + 2, past the cut mod x^k: power_sum still
+    equals the oracle's Horner sum."""
     m = _poly_matrix_over(data, size, k + 2, data.draw(hst.sampled_from([1, 6, 2**64])))
-    assert power_sum(m, k, method="charpoly") == exact_power_sum(m, k)
+    assert power_sum(m, k) == exact_power_sum(m, k)
 
 
 def test_power_sum_validation():
     m = PolyMatrix.identity(2)
     with pytest.raises(ValueError):
         power_sum(m, -1)
-    # an unknown method is refused on every early return too
-    for mat, k in ((m, 3), (PolyMatrix.zeros(2, 2), 3), (m, 0)):
-        with pytest.raises(ValueError):
-            power_sum(mat, k, method="bogus")
     with pytest.raises(ValueError):
         power_sum(PolyMatrix([[poly_from(1), poly_from(0)]]), 2)
 
@@ -411,13 +407,12 @@ def _poly_matrix_over(data, size, deg, den):
 @given(hst.integers(1, 3), hst.integers(0, 2), hst.integers(1, 6), hst.data())
 def test_power_sum_routes_agree_on_2_64_denominators(size, deg, k, data):
     """Cores whose coefficients sit over 2^64, the shape a bits-mode G
-    feeds the gadget: the charpoly route equals the direct route, and both
-    equal the oracle's Rat Horner sum."""
+    feeds the gadget: given as a PolyMatrix or as a ScaledMatrix, the
+    power sum equals the oracle's Rat Horner sum."""
     m = _poly_matrix_over(data, size, deg, 2**64)
     want = exact_power_sum(m, k)
-    assert power_sum(m, k, method="charpoly") == want
-    assert power_sum(m, k, method="direct") == want
-    scaled = power_sum(ScaledMatrix.of_polys(m.rows, m.max_degree), k, method="charpoly")
+    assert power_sum(m, k) == want
+    scaled = power_sum(ScaledMatrix.of_polys(m.rows, m.max_degree), k)
     assert scaled.to_poly() == want
 
 
@@ -447,4 +442,3 @@ def test_scaled_products_match_poly_products(r, inner, c, k, data):
     assert ca.mul(cb, k).to_poly() == a.mul(b, trunc=k)
     b2 = block(r, inner)
     assert sa.add(ScaledMatrix.of_polys(b2.rows, k + 1)).to_poly() == a.add(b2)
-    assert sa.times_x(k).to_poly() == a.scale_poly(UniPoly.x(), trunc=k)
