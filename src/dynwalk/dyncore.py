@@ -39,10 +39,16 @@ sum reads C only mod z^(J-1).  R mod z^J is nonzero only on the rows of F
 that reach an affected row within J - 1 steps, and D mod z^J only on the
 columns an affected column reaches within J - 1 steps (the (J-1)-hop
 balls around the batch), so the product is formed over those support
-rows and columns alone and added into them.  The candidates are the
-nonzero entries of the affected columns and rows, found by C-level
-truthiness scans, and the support is the candidates whose cut entries
-are nonzero.
+rows and columns alone and added into them.  The middle factor M is
+split further, into the blocks of its nonzero pattern: changes too far
+apart to interact fall into different blocks, and each block's product
+is formed over its own ball alone.  A block's candidates are the
+nonzero entries of its rows of F, found by C-level truthiness scans,
+and its support is the candidates whose cut entries are nonzero.  On a
+graph state T is symmetric, and so is every block's product, so the
+rows give the support on both sides and each unordered pair of support
+entries is formed once; a state built from a matrix scans the block's
+columns of F for its support rows as well.
 
 Besides F the state stores the integer matrix N = delta T, the matrix
 the batches edit, as rows of ints; T is a view built from N on access,
@@ -76,7 +82,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, compress, count
+from itertools import chain, compress, count, islice
 from operator import index, itemgetter, mul
 
 # truncate_to_bits is unused here but stays bound: the layer tracer in
@@ -403,34 +409,32 @@ def build_delta_gadgets(state: DynState, entry_deltas) -> tuple:
     return (gadget,)
 
 
-def _fitted(p: PackedF, rows: list, gadget: DeltaGadget, cols: list) -> PackedF:
+def _fitted(p: PackedF, gadget: DeltaGadget) -> PackedF:
     """p with the row norms of N after the gadget, repacked if they outgrow its width.
 
-    rows is N before the gadget and cols its affected columns.  Only the
-    gadget's entries can move a norm, so this reads those alone, and p
-    comes back as it is when no norm moves; a graph state's norms all
-    stay 2d.
+    Only the gadget's rows of N can move a norm, so this sums those
+    alone, and p comes back as it is when no norm moves.
     """
-    norms = None
-    for r in gadget.u_in:
-        new, old = gadget.new_rows[r], rows[r]
-        step = sum(abs(new[c]) - abs(old[c]) for c in cols)
-        if step:
-            if norms is None:
-                norms = list(p.norms)
-            norms[r] += step
-    return p if norms is None else refit(p, p.den, norms)
+    norms = list(p.norms)
+    for r, row in gadget.new_rows.items():
+        norms[r] = sum(map(abs, row))
+    return p if norms == p.norms else refit(p, p.den, norms)
 
 
 def _packed_power_sum(x, terms: int, scale: int, mask: int) -> list:
     """The sum of X^i scale^(terms - i) for i = 0..terms, mod mask + 1, by Horner.
 
     x is a square matrix of packed ints; mask + 1 is a power of two.
+    Horner starts at X + scale I, so one term forms no product.
     """
-    acc = [[int(a == b) for b in range(len(x))] for a in range(len(x))]
+    size = len(x)
+    if terms < 1:
+        return [[int(a == b) for b in range(size)] for a in range(size)]
+    acc = [list(row) for row in x]
     for i in range(1, terms + 1):
-        cols = list(zip(*acc))
-        acc = [[sum(map(mul, xrow, col)) & mask for col in cols] for xrow in x]
+        if i > 1:
+            cols = list(zip(*acc))
+            acc = [[sum(map(mul, xrow, col)) & mask for col in cols] for xrow in x]
         for a, row in enumerate(acc):
             row[a] = (row[a] + scale**i) & mask
     return acc
@@ -460,36 +464,96 @@ def _core(c_cut, wts, p: PackedF, cascade: bool) -> list:
     return [[pack([v * lift for v in e], w) & mask for e in row] for row in s.rows]
 
 
+def _blocks(m: list, tied: bool) -> list:
+    """The connected components of m's nonzero pattern, as (rows, cols) position lists.
+
+    The rows and the columns of m are the two sides of a bipartite graph
+    with an edge for each nonzero entry.  With tied, row a and column a
+    are one node, so every block has equal rows and cols: the core of a
+    graph state, whose u_in and u_out are the same vertices.  A row or
+    column with no nonzero entry is in no block.
+    """
+    nr, shift = len(m), 0 if tied else len(m)
+    groups = []
+    for a, row in enumerate(m):
+        if any(row):
+            nodes = {a, *compress(count(shift), row)}
+            for g in [g for g in groups if not nodes.isdisjoint(g)]:
+                groups.remove(g)
+                nodes |= g
+            groups.append(nodes)
+    if tied:
+        return sorted((xs, xs) for xs in map(sorted, groups))
+    return sorted(
+        ([x for x in xs if x < nr], [x - nr for x in xs if x >= nr])
+        for xs in map(sorted, groups)
+    )
+
+
+def _live(cand: list, block: list, width: int, slots: int) -> tuple:
+    """The candidates whose rows of block are not all zero once cut to slots, and those cut rows."""
+    rows = cut(block, width, slots)
+    live = list(map(any, rows))
+    return list(compress(cand, live)), list(compress(rows, live))
+
+
+def _support_products(left: list, right: list, upper: bool) -> list:
+    """The dot product of each row of left with each row of right, by rows of left.
+
+    With upper, row i of left meets only right[i:], which is the upper
+    triangle of a symmetric product.
+    """
+    if upper:
+        return [[sum(map(mul, q, r)) for r in right[i:]] for i, q in enumerate(left)]
+    return [[sum(map(mul, q, r)) for r in right] for q in left]
+
+
 def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     """Fold one gadget's correction into F and its deltas into T.
 
     With J = ceil(K/2), y = 2^w the packed stand-in for z and the u_out
     slots shifted down by n to columns of T, the correction to the
-    digits is R * yW' * S * D mod y^(J+1), where W' = delta W is the
-    gadget's integer weight block, R = P[:, u_in], C = P[u_out, u_in],
-    D = P[u_out, :] and S = sum of (yCW')^i for i < J.  R and D are cut
-    mod y^J and C mod y^(J-1) by bias and mask, and S is kept mod
-    2^(wJ), since only the low slots of the result are read.  The
-    support (see the module docstring) is the candidates of C-level
-    truthiness scans whose cut entries are not all zero.  The packed
-    correction V[s][t] is the dot product of row s of R * yW'S with
-    column t of D; its low J + 1 slots, decoded by bias and mask, are
-    the true change of the digits, and the junk above them is dropped.
+    digits is V = R * M * D mod y^(J+1), where M = yW'S, W' = delta W is
+    the gadget's integer weight block, R = P[:, u_in], C = P[u_out,
+    u_in], D = P[u_out, :] and S = sum of (yCW')^i for i < J.  R and D
+    are cut mod y^J and C mod y^(J-1) by bias and mask, and S is kept
+    mod 2^(wJ), since only the low slots of the result are read.
+
+    The core M is formed once, on the gadget's route, and then split
+    into its blocks, the connected components of its nonzero pattern:
+    V is the sum over blocks c of R[:, I_c] * M_c * D[J_c, :], and a
+    block's support (see the module docstring) is the ball around its
+    own indices, so changes far apart are formed over their own balls
+    and not over the product of both.  Each entry's corrections from
+    all blocks are added up, and its low J + 1 slots, decoded by bias
+    and mask, are the true change of the digits; the junk above them
+    is dropped.
+
+    A state takes one of two paths through each block.  A graph state's
+    T is the lazy walk of an undirected graph, so T, P and W' are
+    symmetric and u_in = u_out as vertices; then M is symmetric, R is
+    D transposed and V = R M R^T.  Its support is the nonzero entries
+    of the block's rows of P, found by one scan and cut once, and each
+    unordered support pair (s, t) is formed once and written to both
+    (s, t) and (t, s).  Its row norms are 2d after every batch, so it
+    never repacks.  A state built from a matrix may have any T, so it
+    takes the general path: the support rows come from a scan of the
+    block's columns of P, the support columns from a scan of its rows,
+    each is cut, and every support pair is formed; a gadget that brings
+    a row norm of N past the slot width repacks every entry first.
+
     A row of P gets a new list only if some entry of it changes; every
     other row of P, and every row of T without a delta, is shared with
-    the input state.
+    the input state.  On a state with scale m = 2^b (a bits state on its
+    grid) the core is S_m = sum of (yCW')^i m^(J-1-i), which makes the
+    low slots of V m^J times the change of the digits, and each changed
+    digit is rounded back to the grid once, on the sum over blocks:
+    H'_j = round((H_j m^J + V_j) / (m^J delta^j)) delta^j, to nearest
+    with ties toward zero.  No Rat is built on either scale.
 
-    On a state with scale m = 2^b (a bits state on its grid) the core
-    is S_m = sum of (yCW')^i m^(J-1-i), which makes the low slots of V
-    m^J times the change of the digits, and each changed digit is
-    rounded back to the grid: H'_j = round((H_j m^J + V_j) / (m^J
-    delta^j)) delta^j, to nearest with ties toward zero.  No Rat is
-    built on either scale.
-
-    A gadget that brings a row norm of N past the slot width repacks
-    every entry first.  The version token must match:
-    gadgets encode which F their entries are meant to be read from, and
-    applying against anything else would silently compute garbage.
+    The version token must match: gadgets encode which F their entries
+    are meant to be read from, and applying against anything else would
+    silently compute garbage.
     """
     if gadget.expected_version != state.version:
         raise StaleGadgetError(
@@ -500,34 +564,53 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
         return replace(state, version=state.version + 1)
     u_in, wts = gadget.u_in, gadget.weights
     u_out = [v - state.n for v in gadget.u_out]
-    p = _fitted(state.P, state.N, gadget, u_out)
+    tied = state.graph is not None
+    p = state.P if tied else _fitted(state.P, gadget)
     f, w, slots = p.rows, p.width, p.slots
     k = slots - 1
-    rows = sorted(set().union(*(compress(count(), map(itemgetter(u), f)) for u in u_in)))
-    cols = sorted(set().union(*(compress(count(), f[v]) for v in u_out)))
-    r_cut = cut([[f[s][u] for u in u_in] for s in rows], w, k)
-    d_cut = cut([[f[v][t] for t in cols] for v in u_out], w, k)
-    live_rows, live_cols = list(map(any, r_cut)), list(map(any, zip(*d_cut)))
     c_cut = cut([[f[v][u] for u in u_in] for v in u_out], w, k - 1)
     core = _core(c_cut, wts, p, gadget.size > state.cascade_threshold)
     mask = (1 << (w * k)) - 1
-    # yW'S mod y^(J+1), by columns
-    ws = [[(sum(map(mul, wrow, sc)) & mask) << w for sc in zip(*core)] for wrow in wts]
-    mid = list(zip(*ws))
-    d_cols = list(compress(zip(*d_cut), live_cols))
-    support_rows = list(compress(rows, live_rows))
-    v_blk = []
-    for rrow in compress(r_cut, live_rows):
-        rq = [sum(map(mul, rrow, mc)) for mc in mid]
-        v_blk.append([sum(map(mul, rq, dc)) for dc in d_cols])
+    # M = yW'S mod y^(J+1)
+    mw = [[(sum(map(mul, wrow, sc)) & mask) << w for sc in zip(*core)] for wrow in wts]
+    # V by rows, summed over the blocks; a graph state's holds t >= s only
+    v_rows = {}
+    for ins, outs in _blocks(mw, tied):
+        vs = [u_out[b] for b in outs]
+        # the support columns, and D[J_c, :] on them by columns
+        cand = sorted(set().union(*(compress(count(), f[v]) for v in vs)))
+        cols, d_cols = _live(cand, list(zip(*[[f[v][t] for t in cand] for v in vs])), w, k)
+        if tied:
+            # R[:, I_c] is D[J_c, :] transposed
+            rows, r_rows = cols, d_cols
+        else:
+            us = [u_in[a] for a in ins]
+            cand = sorted(set().union(*(compress(count(), map(itemgetter(u), f)) for u in us)))
+            rows, r_rows = _live(cand, [[f[s][u] for u in us] for s in cand], w, k)
+        mid = list(zip(*[[mw[a][b] for b in outs] for a in ins]))
+        rm = [[sum(map(mul, rrow, mc)) for mc in mid] for rrow in r_rows]
+        for i, (s, prods) in enumerate(zip(rows, _support_products(rm, d_cols, tied))):
+            add = dict(zip(cols[i:] if tied else cols, prods))
+            have = v_rows.get(s)
+            if have is None:
+                v_rows[s] = add
+            else:
+                for t, v in add.items():
+                    have[t] = have.get(t, 0) + v
+    flat = [v for row in v_rows.values() for v in row.values()]
+    lows = iter(cut([flat], w, slots)[0] if flat else ())
     m = p.scale
     touched = {}
-    for s, low in zip(support_rows, cut(v_blk, w, slots)):
-        if any(low):
-            row = touched[s] = list(f[s])
-            for t, v in zip(compress(cols, live_cols), low):
-                if v:
-                    row[t] = row[t] + v if m == 1 else _regridded(row[t], v, p)
+    for s, row_v in v_rows.items():
+        for t, v in zip(row_v, islice(lows, len(row_v))):
+            if not v:
+                continue
+            e = f[s][t] + v if m == 1 else _regridded(f[s][t], v, p)
+            row = touched.get(s) or touched.setdefault(s, list(f[s]))
+            row[t] = e
+            if tied and t != s:
+                row = touched.get(t) or touched.setdefault(t, list(f[t]))
+                row[s] = e
     new_n = list(state.N)
     for r, row in gadget.new_rows.items():
         new_n[r] = row
@@ -542,8 +625,8 @@ def _regridded(e: int, v: int, p: PackedF) -> int:
     return on_grid(nums, m * top, m.bit_length() - 1, p.den, p.width)
 
 
-def _folded(state: DynState, entry_deltas) -> DynState:
-    """Fold integer deltas of N into the state as one gadget, in either mode.
+def _folded(state: DynState, gadget: DeltaGadget) -> DynState:
+    """Fold one gadget of integer deltas of N into the state, in either mode.
 
     In bits mode the budget is charged one bit and F stays on the 2^-b
     grid.  A state on the grid (it came from a truncating batch or a
@@ -551,7 +634,6 @@ def _folded(state: DynState, entry_deltas) -> DynState:
     itself; a fresh bits state, whose F is still exact, has every
     coefficient rounded after the fold.
     """
-    (gadget,) = build_delta_gadgets(state, entry_deltas)
     st = apply_gadget(state, gadget)
     if state.is_bits:
         st.budget = state.budget.copy()
@@ -566,7 +648,8 @@ def apply_entry_deltas(state: DynState, entry_deltas) -> DynState:
 
     entry_deltas are (row, col, delta) triples in B coordinates.  A delta
     whose denominator does not divide P.den first moves the state to the
-    lcm: N is rescaled and every entry of F repacked.  The deltas then
+    lcm: N is rescaled and every entry of F repacked once, to the new
+    denominator and the row norms of N after the batch.  The deltas then
     fold as integer deltas of N, as a graph batch does; bits mode is
     handled as there.  A graph state is refused: its T must stay the
     lazy walk of its graph, so it changes only through apply_batch.
@@ -575,16 +658,18 @@ def apply_entry_deltas(state: DynState, entry_deltas) -> DynState:
         raise ValueError("state has a graph; use apply_batch")
     triples = [(r, c, Rat(dl)) for r, c, dl in entry_deltas]
     den = math.lcm(state.P.den, *(dl.denominator for _, _, dl in triples))
-    if den != state.P.den:
-        up = den // state.P.den
-        state = replace(
-            state,
-            N=[[v * up for v in row] for row in state.N],
-            P=refit(state.P, den, [v * up for v in state.P.norms]),
-        )
-    return _folded(
+    up = den // state.P.den
+    if up != 1:
+        state = replace(state, N=[[v * up for v in row] for row in state.N])
+    (gadget,) = build_delta_gadgets(
         state, [(r, c, dl.numerator * (den // dl.denominator)) for r, c, dl in triples]
     )
+    if up != 1:
+        norms = [v * up for v in state.P.norms]
+        for r, row in gadget.new_rows.items():
+            norms[r] = sum(map(abs, row))
+        state = replace(state, P=refit(state.P, den, norms))
+    return _folded(state, gadget)
 
 
 def apply_batch(state: DynState, batch: EdgeBatch) -> DynState:
@@ -607,7 +692,8 @@ def apply_batch(state: DynState, batch: EdgeBatch) -> DynState:
             f"precision budget exhausted after {state.step_count} steps"
         )
     n = state.n
-    st = _folded(state, [(r, n + c, delta) for r, c, delta in ndeltas])
+    (gadget,) = build_delta_gadgets(state, [(r, n + c, delta) for r, c, delta in ndeltas])
+    st = _folded(state, gadget)
     st.graph = new_graph
     st.step_count = state.step_count + 1
     return st

@@ -140,10 +140,12 @@ def refit(p: PackedF, den: int, norms: list) -> PackedF:
 
     A new denominator rescales digit j by (den / p.den)^j, and norms
     past the slot width need a wider slot; either repacks every entry.
-    Otherwise only the norms are replaced.
+    Otherwise only the norms are replaced.  The width fits the digits of
+    p rescaled as well as those the new norms allow, since a fold reads
+    both.
     """
     up = den // p.den
-    width = width_for(p.scale, max(norms), den, p.slots)
+    width = width_for(p.scale, max(max(norms), up * max(p.norms)), den, p.slots)
     if up == 1 and width <= p.width:
         return replace(p, norms=norms)
     ups = [up**j for j in range(p.slots)]

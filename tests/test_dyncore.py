@@ -39,7 +39,17 @@ from dynwalk.dyncore import (
     state_from_matrix,
 )
 
-from conftest import pow2, rand_rat, random_batch, random_graph, truncate_all, woodbury_fold
+from dynwalk.packed import digits, pack, width_for
+
+from conftest import (
+    cycle_graph,
+    pow2,
+    rand_rat,
+    random_batch,
+    random_graph,
+    truncate_all,
+    woodbury_fold,
+)
 
 
 def batch(*ops):
@@ -700,6 +710,160 @@ def test_a_new_denominator_and_a_larger_norm_repack_the_state():
     assert (st.P.den, st.P.norms, st.P.width) == (old.P.den, [20, 11, 8], old.P.width)
 
 
+def test_a_new_denominator_and_a_larger_norm_repack_once(monkeypatch):
+    # the first batch of the test above: thirds move den from 2 to 6 and
+    # row 0's norm of 6T from 6 to 20; one refit goes to both at once
+    calls = []
+    real_refit = dyncore.refit
+
+    def counting_refit(p, den, norms):
+        calls.append((p.den, den, list(norms)))
+        return real_refit(p, den, norms)
+
+    monkeypatch.setattr(dyncore, "refit", counting_refit)
+    h, k = rat(1, 2), 6
+    a = [[h, h, 0], [0, h, h], [h, 0, 0]]
+    st = apply_entry_deltas(
+        state_from_matrix(RatMatrix(a), k), [(0, 5, rat(7, 3)), (2, 4, rat(-1, 3))]
+    )
+    assert calls == [(2, 6, [20, 6, 5])]
+    a[0][2] += rat(7, 3)
+    a[2][1] -= rat(1, 3)
+    assert st.F == state_from_matrix(RatMatrix(a), k).F
+    assert (st.P.den, st.P.norms) == (6, [20, 6, 5])
+
+
+def test_a_new_denominator_and_a_smaller_norm_keep_room_for_the_old_digits():
+    # thirds move den from 1 to 3 while row 0's norm of 3T falls from 18
+    # to 2: the one repack must still fit the old digits, which reach
+    # 3^3 * 39 in slot 3, since the fold reads them.  Sized for the new
+    # norms alone, the slot would overflow, and the folded entries would
+    # keep junk above their top slot.
+    a = [[rat(3), rat(3)], [rat(0), rat(1)]]
+    st = state_from_matrix(RatMatrix(a), 6)
+    st = apply_entry_deltas(st, [(0, 2, rat(-8, 3)), (0, 3, rat(-8, 3))])
+    b = [[rat(1, 3), rat(1, 3)], [rat(0), rat(1)]]
+    assert (st.P.den, st.P.norms) == (3, [2, 3])
+    assert st.F == state_from_matrix(RatMatrix(b), 6).F
+    w, slots = st.P.width, st.P.slots
+    assert all(e == pack(digits(e, w, slots), w) for row in st.P.rows for e in row)
+
+
+def test_packed_power_sum_matches_the_power_sum():
+    """Horner from X + mI: the sum of X^i m^(terms - i), i = 0..terms, mod
+    the mask, for every term count the fold uses; no terms is I."""
+    rng = random.Random(912)
+    mask = (1 << 40) - 1
+    for size in (1, 2, 3):
+        x = [[rng.randrange(1 << 40) for _ in range(size)] for _ in range(size)]
+        for scale in (1, 1 << 9):
+            power = [[int(a == b) for b in range(size)] for a in range(size)]
+            want = [[0] * size for _ in range(size)]
+            for terms in range(5):
+                # want = sum of X^i m^(terms - i): times m, plus X^terms
+                want = [
+                    [(e * scale + q) & mask for e, q in zip(wrow, prow)]
+                    for wrow, prow in zip(want, power)
+                ]
+                assert dyncore._packed_power_sum(x, terms, scale, mask) == want
+                power = [
+                    [sum(p * c for p, c in zip(prow, col)) & mask for col in zip(*x)]
+                    for prow in power
+                ]
+
+
+# -- the fold by blocks of the core, and the symmetric fold of a graph state ----------------
+
+
+def test_blocks_are_the_components_of_the_core_pattern():
+    blocks = dyncore._blocks
+    assert blocks([[5, 0], [0, 7]], True) == [([0], [0]), ([1], [1])]
+    assert blocks([[5, 0], [0, 7]], False) == [([0], [0]), ([1], [1])]
+    # tied, row a and column a are one vertex; untied, they are apart
+    assert blocks([[0, 3], [3, 0]], True) == [([0, 1], [0, 1])]
+    assert blocks([[0, 3], [3, 0]], False) == [([0], [1]), ([1], [0])]
+    # a chain through a shared column, and a row and column with no entry
+    assert blocks([[1, 0, 0], [1, 0, 2], [0, 0, 0]], False) == [([0, 1], [0, 2])]
+    assert blocks([[0, 0], [0, 0]], True) == []
+
+
+def _counting_support_products(monkeypatch):
+    """(support rows, products formed) per block of every fold from here on."""
+    counts = []
+    real = dyncore._support_products
+
+    def counting(left, right, upper):
+        out = real(left, right, upper)
+        counts.append((len(left), sum(map(len, out))))
+        return out
+
+    monkeypatch.setattr(dyncore, "_support_products", counting)
+    return counts
+
+
+def test_graph_fold_forms_each_support_pair_once(monkeypatch):
+    """Deleting two far-apart edges of the 12-cycle at K = 4 (J = 2) gives a
+    core of two blocks, one per edge: C is the identity mod y, so nothing
+    couples them.  Each block's support is the 1-ball around its edge,
+    s = 4 vertices, and the two balls are disjoint.  A graph state forms
+    s(s+1)/2 = 10 support products per block; a state built from the same
+    T as a matrix takes the general path and forms s^2 = 16."""
+    counts = _counting_support_products(monkeypatch)
+    n, k = 12, 4
+    g = cycle_graph(n)
+    b = batch(("delete", 0, 1), ("delete", 6, 7))
+    st = state_from_graph(g, k)
+    new = apply_batch(st, b)
+    assert counts == [(4, 10), (4, 10)]
+    changed = {s for s in range(n) if new.P.rows[s] is not st.P.rows[s]}
+    assert changed == {11, 0, 1, 2, 5, 6, 7, 8}
+    assert new.P == state_from_graph(new.graph, k).P
+    counts.clear()
+    _, ndeltas = validate_and_apply(g, b)
+    mat = state_from_matrix(lazy_transition(g), k)
+    folded = apply_entry_deltas(mat, [(r, n + c, rat(dl, 4)) for r, c, dl in ndeltas])
+    assert counts == [(4, 16), (4, 16)]
+    assert folded.P == new.P
+
+
+@pytest.mark.parametrize("mode,bits", [("exact", None), ("bits", 16)])
+def test_overlapping_blocks_add_both_corrections(monkeypatch, mode, bits):
+    """Deleting edges 0-1 and 2-3 of the 12-cycle at K = 4 gives two
+    blocks whose 1-balls, {11, 0, 1, 2} and {1, 2, 3, 4}, share vertices
+    1 and 2, so entries among them get a correction from each block.  A
+    bits state on its grid (after a first, far-away batch) rounds each
+    such entry once, on the sum: its F is the Rat fold of the stored F
+    with every coefficient rounded.  The degree bound 3 puts sixths in T:
+    entry (1, 2) of T^2 gains 1/36 from each block, and at 16 bits
+    rounding each gain apart would give one unit less than rounding
+    their sum."""
+    n, k = 12, 4
+    st = state_from_graph(cycle_graph(n, 3), k, mode=mode, bits=bits)
+    st = apply_batch(st, batch(("delete", 6, 7)))
+    counts = _counting_support_products(monkeypatch)
+    b = batch(("delete", 0, 1), ("delete", 2, 3))
+    _, ndeltas = validate_and_apply(st.graph, b)
+    new = apply_batch(st, b)
+    assert counts == [(4, 10), (4, 10)]
+    changed = {s for s in range(n) if new.P.rows[s] is not st.P.rows[s]}
+    assert changed == {11, 0, 1, 2, 3, 4}
+    rebuilt = state_from_graph(new.graph, k)
+    if mode == "exact":
+        assert new.P == rebuilt.P
+        bound = 0
+    else:
+        assert new.F == truncate_all(woodbury_fold(st.F, ndeltas, k, 6), bits)
+        bound = pow2(-(bits - new.budget.bits_spent - 2))
+        for row_e, row_d in zip(rebuilt.F.rows, new.F.rows):
+            for e, dd in zip(row_e, row_d):
+                assert all(abs(e[j] - dd[j]) <= bound for j in range(k // 2 + 1))
+    t = lazy_transition(new.graph)
+    for s in range(n):
+        for u in range(n):
+            dp = walk_count_dp(t, s, u, k // 2)
+            assert all(abs(read_power_entry(new, s, u, j) - dp[j]) <= bound for j in range(3))
+
+
 def _assert_zeros_shared(st):
     zero = UniPoly.zero()
     for m in (st.F, st.G, st.B):
@@ -837,6 +1001,43 @@ def test_property_graph_batches_keep_n_t_and_p_exact(threshold, n, d, k, kinds, 
         assert all(type(v) is int for row in st.N for v in row)
         assert st.T == t
         assert st.P == state_from_graph(st.graph, k).P
+
+
+def _assert_symmetric_at_norm_2d(st):
+    """What the graph path of apply_gadget relies on: P symmetric, every
+    row norm of N = 2d T equal to 2d, and the slot width those norms give."""
+    p, d = st.P, st.graph.d
+    assert all(p.rows[s][t] == p.rows[t][s] for s in range(st.n) for t in range(s))
+    assert p.norms == [2 * d] * st.n
+    assert p.width == width_for(p.scale, 2 * d, 2 * d, p.slots)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    hst.integers(2, 8),
+    hst.integers(1, 3),
+    hst.integers(1, 6),
+    hst.integers(24, 48),
+    hst.randoms(use_true_random=False),
+)
+def test_property_graph_states_stay_symmetric_at_norm_2d(n, d, k, bits, rng):
+    """Over a timeline of batches, every exact state, bits state and
+    muddled served state of a graph keeps the structure the symmetric
+    fold takes for granted."""
+    g = random_graph(rng, n, d, fill=rng.random())
+    exact = state_from_graph(g, k)
+    dirty = state_from_graph(g, k, mode="bits", bits=bits)
+    tl = MuddleTimeline(MuddleConfig(n, d, k, 2, bits), g)
+    for st in (exact, dirty, tl.served):
+        _assert_symmetric_at_norm_2d(st)
+    for _ in range(5):
+        b = random_batch(rng, exact.graph, 3)
+        exact = apply_batch(exact, b)
+        dirty = apply_batch(dirty, b)
+        tl.step(b)
+        for st in (exact, dirty, tl.served):
+            _assert_symmetric_at_norm_2d(st)
+    assert exact.P == state_from_graph(exact.graph, k).P
 
 
 def _bits_fold_reference(state, batch):
