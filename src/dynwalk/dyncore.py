@@ -614,7 +614,20 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     new_n = list(state.N)
     for r, row in gadget.new_rows.items():
         new_n[r] = row
-    return replace(state, P=p.with_rows(touched), N=new_n, version=state.version + 1)
+    # built directly, not by dataclasses.replace, which is several times dearer
+    return DynState(
+        state.n,
+        state.K,
+        state.mode,
+        state.bits,
+        state.graph,
+        new_n,
+        p.with_rows(touched),
+        state.budget,
+        state.version + 1,
+        state.step_count,
+        state.cascade_threshold,
+    )
 
 
 def _regridded(e: int, v: int, p: PackedF) -> int:

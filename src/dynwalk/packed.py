@@ -15,6 +15,13 @@ products of packed ints are packed sums and products, and the low slots
 of a result can be read back whenever its true digits there fit in
 w - 1 bits.  This module owns the format: the slot width, the digit
 codec, rounding to the grid, repacking, and the way back to Rat.
+
+Two memos are keyed by a packed int, since an entry's value alone
+fixes what is computed from it within one packing.  Reads of a
+coefficient are memoised on the state (``PackedF.reads``), and the
+rounding of an entry to the grid is memoised per pair of source and
+target packing (``truncate_rows``).  Each memo is cleared when it holds
+READS_MAX entries.
 """
 
 from __future__ import annotations
@@ -70,10 +77,11 @@ class PackedF:
     reads: dict = field(default_factory=dict, compare=False, repr=False)
 
     def with_rows(self, touched: dict) -> "PackedF":
+        """This packing with the rows in touched replaced; it shares the read memo."""
         rows = list(self.rows)
         for i, row in touched.items():
             rows[i] = row
-        return replace(self, rows=rows)
+        return PackedF(rows, self.width, self.den, self.scale, self.norms, self.slots, self.reads)
 
 
 def width_for(scale: int, norm: int, den: int, slots: int) -> int:
@@ -178,6 +186,21 @@ def unpacked(p: PackedF) -> PolyMatrix:
     return PolyMatrix([list(map(entry, row)) for row in p.rows])
 
 
+# entries a read memo or a rounding memo holds before it is cleared
+READS_MAX = 1024
+
+
+@lru_cache(maxsize=256)
+def _roundings(width: int, slots: int, scale: int, bits: int, den: int, target: int) -> dict:
+    """The rounding memo of one packing pair, packed entry to its rounded entry.
+
+    The key is everything ``digits`` and ``on_grid`` read of the two
+    packings, so a memoised rounding is exactly the int a fresh call
+    would return.
+    """
+    return {}
+
+
 def truncate_rows(
     p: PackedF,
     bits: int,
@@ -196,26 +219,38 @@ def truncate_rows(
     update left alone, and a replaced row keeps the entry objects the
     update did not change, so after a local update only the entries it
     changed are rounded.  Without a source every entry is rounded.
+
+    Each rounding is memoised by the entry's int value, in one memo per
+    packing pair: p's width, slots, scale and den, bits and the new
+    width.  A rounded entry is a function of its value and that pair
+    alone, so a hit is exact.  A graph's F at small K takes few
+    distinct values, its digits being small walk counts, and a muddled
+    delivery rounds the same ones again and again.  Each memo is
+    cleared when it reaches READS_MAX entries, as the read memo is.
     """
     scale = 1 << bits
     width = width_for(scale, max(p.norms), p.den, p.slots)
+    memo = _roundings(p.width, p.slots, p.scale, bits, p.den, width)
 
     def rounded(e):
-        return on_grid(digits(e, p.width, p.slots), p.scale, bits, p.den, width) if e else 0
+        if not e:
+            return 0
+        r = memo.get(e)
+        if r is None:
+            if len(memo) >= READS_MAX:
+                memo.clear()
+            r = memo[e] = on_grid(digits(e, p.width, p.slots), p.scale, bits, p.den, width)
+        return r
 
     if source is None or (source.width, source.den, truncated.width) != (p.width, p.den, width):
         rows = [list(map(rounded, row)) for row in p.rows]
-        return replace(p, rows=rows, width=width, scale=scale, reads={})
+        return PackedF(rows, width, p.den, scale, p.norms, p.slots)
     rows = [
         done if row is old else [d if e is o else rounded(e) for e, o, d in zip(row, old, done)]
         for row, old, done in zip(p.rows, source.rows, truncated.rows)
     ]
     # packed like truncated, so its read memo stays valid
-    return replace(p, rows=rows, width=width, scale=scale, reads=truncated.reads)
-
-
-# entries a PackedF's read memo holds before it is cleared
-READS_MAX = 1024
+    return PackedF(rows, width, p.den, scale, p.norms, p.slots, truncated.reads)
 
 
 def coefficient(p: PackedF, s: int, t: int, j: int) -> Rat:

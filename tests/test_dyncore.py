@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from dynwalk import dyncore, matpow
-from dynwalk.numerics import BudgetExhausted, Rat, rat
+from dynwalk.numerics import BudgetExhausted, PrecisionBudget, Rat, rat
 from dynwalk.poly import UniPoly
 from dynwalk.linalg import PolyMatrix, RatMatrix
 from dynwalk.graph import (
@@ -615,6 +615,30 @@ def test_update_shares_untouched_rows_and_leaves_the_old_snapshot_valid():
         assert new.P.rows[v] is not old.P.rows[v]
         assert new.N[v] != n_before[v]
         assert new.N[v] is not old.N[v]
+
+
+def test_apply_gadget_carries_every_other_field_over():
+    # apply_gadget builds its result field by field, so a field added to
+    # DynState later must be carried over here too, or it is silently
+    # reset to its default
+    h, n = rat(1, 2), 4
+    mat = state_from_matrix(RatMatrix([[h, h, 0, 0], [0, h, h, 0], [0, 0, h, h], [h, 0, 0, h]]), 4)
+    graph = state_from_graph(cycle_graph(6), 4)
+    # integer deltas of N; the graph state's keep T symmetric
+    cases = ((mat, [(0, n + 2, 1)]), (graph, [(0, 6 + 3, 1), (3, 6 + 0, 1)]))
+    for old, deltas in cases:
+        old = dataclasses.replace(
+            old, mode="bits", bits=32, budget=PrecisionBudget(32), step_count=7,
+            cascade_threshold=3, version=5,
+        )
+        (gadget,) = build_delta_gadgets(old, deltas)
+        new = apply_gadget(old, gadget)
+        assert new.version == 6 and new.P.rows != old.P.rows
+        for f in dataclasses.fields(DynState):
+            if f.name not in ("P", "N", "version"):
+                assert getattr(new, f.name) is getattr(old, f.name), f.name
+    # a graph state never repacks, so its snapshots share the read memo
+    assert new.P.reads is old.P.reads
 
 
 def test_a_support_row_with_a_zero_correction_stays_shared():
