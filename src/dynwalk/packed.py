@@ -21,7 +21,11 @@ fixes what is computed from it within one packing.  Reads of a
 coefficient are memoised on the state (``PackedF.reads``), and the
 rounding of an entry to the grid is memoised per pair of source and
 target packing (``truncate_rows``).  Each memo is cleared when it holds
-READS_MAX entries.
+READS_MAX entries.  At most eight rounding memos are kept, the least
+recently used dropped first, so however many packings a process goes
+through they hold at most 8 * READS_MAX pairs of packed ints: at the
+muddled benchmark's shape (n = 16, K = 4, b = 64) a full memo takes
+about 160 KB, the eight about 1.3 MB.
 """
 
 from __future__ import annotations
@@ -190,7 +194,8 @@ def unpacked(p: PackedF) -> PolyMatrix:
 READS_MAX = 1024
 
 
-@lru_cache(maxsize=256)
+# a muddled timeline rounds through one packing pair, a bits state's first fold through one more
+@lru_cache(maxsize=8)
 def _roundings(width: int, slots: int, scale: int, bits: int, den: int, target: int) -> dict:
     """The rounding memo of one packing pair, packed entry to its rounded entry.
 
@@ -214,11 +219,9 @@ def truncate_rows(
     new scale.  truncated must be source with every coefficient rounded
     to b bits.  When source is packed like p, a row of p that is the
     very list object of the same row of source is taken from truncated
-    as it is, with no work, and so is an entry that is the very object
-    of the same entry of source.  Snapshots share exactly the rows an
-    update left alone, and a replaced row keeps the entry objects the
-    update did not change, so after a local update only the entries it
-    changed are rounded.  Without a source every entry is rounded.
+    as it is, with no work.  Snapshots share exactly the rows an update
+    left alone, so after a local update only its replaced rows are
+    rounded.  Without a source every entry is rounded.
 
     Each rounding is memoised by the entry's int value, in one memo per
     packing pair: p's width, slots, scale and den, bits and the new
@@ -246,7 +249,7 @@ def truncate_rows(
         rows = [list(map(rounded, row)) for row in p.rows]
         return PackedF(rows, width, p.den, scale, p.norms, p.slots)
     rows = [
-        done if row is old else [d if e is o else rounded(e) for e, o, d in zip(row, old, done)]
+        done if row is old else list(map(rounded, row))
         for row, old, done in zip(p.rows, source.rows, truncated.rows)
     ]
     # packed like truncated, so its read memo stays valid
