@@ -39,16 +39,19 @@ sum reads C only mod z^(J-1).  R mod z^J is nonzero only on the rows of F
 that reach an affected row within J - 1 steps, and D mod z^J only on the
 columns an affected column reaches within J - 1 steps (the (J-1)-hop
 balls around the batch), so the product is formed over those support
-rows and columns alone and added into them.  The middle factor M is
-split further, into the blocks of its nonzero pattern: changes too far
-apart to interact fall into different blocks, and each block's product
-is formed over its own ball alone.  A block's candidates are the
-nonzero entries of its rows of F, found by C-level truthiness scans,
-and its support is the candidates whose cut entries are nonzero.  On a
-graph state T is symmetric, and so is every block's product, so the
-rows give the support on both sides and each unordered pair of support
-entries is formed once; a state built from a matrix scans the block's
-columns of F for its support rows as well.
+rows and columns alone and added into them.  The core is split before
+its power sum, into the connected components of the pattern of W and
+C^T (on a graph state row a and column a are one node): changes too far
+apart to interact fall into different blocks, over which W, C, the
+power sum and M are all block-diagonal, so each block's power sum is
+formed on its own and each block's product over its own ball alone.
+The route of the power sum is chosen once per gadget.  A block's
+candidates are the nonzero entries of its rows of F, found by C-level
+truthiness scans, and its support is the candidates whose cut entries
+are nonzero.  On a graph state T is symmetric, and so is every block's
+product, so the rows give the support on both sides and each unordered
+pair of support entries is formed once; a state built from a matrix
+scans the block's columns of F for its support rows as well.
 
 Besides F the state stores the integer matrix N = delta T, the matrix
 the batches edit, as rows of ints; T is a view built from N on access,
@@ -83,7 +86,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain, compress, count, islice
-from operator import index, itemgetter, mul
+from operator import index, itemgetter, mul, or_
 
 # truncate_to_bits is unused here but stays bound: the layer tracer in
 # bench/layers.py wraps dyncore.truncate_to_bits by name
@@ -129,11 +132,13 @@ __all__ = [
 ]
 
 # Gadgets with more affected indices than a state's cascade_threshold
-# route their core power sum through the characteristic-polynomial
-# cascade instead of direct accumulation.  The direct route is faster at
-# every gadget size measured (2 to 16 edge changes, K = 4 to 12), and the
-# cascade's loss grows with the batch, so by default no gadget takes the
-# cascade; a state opts in by setting a finite threshold.
+# route every block's core power sum through the characteristic-
+# polynomial cascade instead of direct accumulation.  The direct route
+# is faster at every gadget size measured with the core split into
+# blocks (2 to 16 edge changes at K = 4 and 8, 2 to 8 at K = 12): about
+# 3x at K = 4, where changes on distinct vertices never share a block,
+# and more as K grows and the blocks merge.  So by default no gadget
+# takes the cascade; a state opts in by setting a finite threshold.
 DEFAULT_CASCADE_THRESHOLD = math.inf
 
 
@@ -441,26 +446,29 @@ def _packed_power_sum(x, terms: int, scale: int, mask: int) -> list:
 
 
 def _core(c_cut, wts, p: PackedF, cascade: bool) -> list:
-    """The core power sum S_m = sum of (yCW)^i m^(J-1-i), i < J, mod y^J.
+    """The core power sum S_m = sum of (yCW)^i m^(J-1-i), i < J, mod y^J, of one block.
 
-    c_cut is C cut mod y^(J-1) and wts the integer weights delta W; m is
-    the state's scale.  The direct route runs on packed ints.  The
-    cascade unpacks C into IntPoly entries over m and hands zCW/m to
-    ``matpow.power_sum``, which returns sum of (zCW/m)^i mod z^J over
-    some denominator dividing m^(J-1), then packs m^(J-1) times that
-    back.
+    c_cut is the block's C cut mod y^(J-1) and wts its integer weights
+    delta W; m is the state's scale.  The direct route runs on packed
+    ints.  The cascade forms CW over m from the digits of C, as IntPoly
+    entries, and hands zCW/m to ``matpow.power_sum``, which returns sum
+    of (zCW/m)^i mod z^J over some denominator dividing m^(J-1), then
+    packs m^(J-1) times that back.
     """
     w, m, k = p.width, p.scale, p.slots - 1
     mask = (1 << (w * k)) - 1
+    wcols = list(zip(*wts))
     if not cascade:
         # yCW', mod y^J
-        wcols = list(zip(*wts))
         x = [[(sum(map(mul, crow, wc)) << w) & mask for wc in wcols] for crow in c_cut]
         return _packed_power_sum(x, k - 1, m, mask)
-    c = ScaledMatrix([[IntPoly(digits(e, w, k - 1)) for e in row] for row in c_cut], m)
-    wm = ScaledMatrix([[IntPoly((v,)) for v in row] for row in wts])
-    s = matpow.power_sum(c.mul(wm, k - 2), k - 1)
-    lift = m ** (k - 1) // s.den
+    # CW' slot by slot, from each row of C as its digits grouped by slot
+    by_slot = [list(zip(*[digits(e, w, k - 1) for e in row])) for row in c_cut]
+    x = [[IntPoly(sum(map(mul, cj, wc)) for cj in row) for wc in wcols] for row in by_slot]
+    s = matpow.power_sum(ScaledMatrix(x, m), k - 1)
+    lift, rest = divmod(m ** (k - 1), s.den)
+    if rest:
+        raise AssertionError("the core's denominator does not divide m^(J-1)")
     return [[pack([v * lift for v in e], w) & mask for e in row] for row in s.rows]
 
 
@@ -469,9 +477,9 @@ def _blocks(m: list, tied: bool) -> list:
 
     The rows and the columns of m are the two sides of a bipartite graph
     with an edge for each nonzero entry.  With tied, row a and column a
-    are one node, so every block has equal rows and cols: the core of a
-    graph state, whose u_in and u_out are the same vertices.  A row or
-    column with no nonzero entry is in no block.
+    are one node, so every block has equal rows and cols: the pattern
+    of a graph state's W' and C^T, whose u_in and u_out are the same
+    vertices.  A row or column with no nonzero entry is in no block.
     """
     nr, shift = len(m), 0 if tied else len(m)
     groups = []
@@ -519,15 +527,19 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     are cut mod y^J and C mod y^(J-1) by bias and mask, and S is kept
     mod 2^(wJ), since only the low slots of the result are read.
 
-    The core M is formed once, on the gadget's route, and then split
-    into its blocks, the connected components of its nonzero pattern:
-    V is the sum over blocks c of R[:, I_c] * M_c * D[J_c, :], and a
-    block's support (see the module docstring) is the ball around its
-    own indices, so changes far apart are formed over their own balls
-    and not over the product of both.  Each entry's corrections from
-    all blocks are added up, and its low J + 1 slots, decoded by bias
-    and mask, are the true change of the digits; the junk above them
-    is dropped.
+    The core is split before its power sum, into blocks: the connected
+    components of the pattern of W' and C^T, rows I_c of W' and columns
+    J_c.  W' and C are block-diagonal over them, so S is too, and each
+    block runs its own S_c over C[J_c, I_c] W'_c, on the route chosen
+    once for the gadget, and forms M_c = yW'_c S_c; the power sum of a
+    block-diagonal core is the block-diagonal of its blocks' power sums,
+    so this is exact.  V is the sum over blocks c of
+    R[:, I_c] * M_c * D[J_c, :], and a block's support (see the module
+    docstring) is the ball around its own indices, so changes far apart
+    are formed over their own balls and not over the product of both.
+    Each entry's corrections from all blocks are added up, and its low
+    J + 1 slots, decoded by bias and mask, are the true change of the
+    digits; the junk above them is dropped.
 
     A state takes one of two paths through each block.  A graph state's
     T is the lazy walk of an undirected graph, so T, P and W' are
@@ -569,13 +581,17 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     f, w, slots = p.rows, p.width, p.slots
     k = slots - 1
     c_cut = cut([[f[v][u] for u in u_in] for v in u_out], w, k - 1)
-    core = _core(c_cut, wts, p, gadget.size > state.cascade_threshold)
+    cascade = gadget.size > state.cascade_threshold
     mask = (1 << (w * k)) - 1
-    # M = yW'S mod y^(J+1)
-    mw = [[(sum(map(mul, wrow, sc)) & mask) << w for sc in zip(*core)] for wrow in wts]
     # V by rows, summed over the blocks; a graph state's holds t >= s only
     v_rows = {}
-    for ins, outs in _blocks(mw, tied):
+    # the pattern of W' and C^T: an int or'ed with another is 0 only if both are
+    pattern = [list(map(or_, wrow, ccol)) for wrow, ccol in zip(wts, zip(*c_cut))]
+    for ins, outs in _blocks(pattern, tied):
+        wc = [[wts[a][b] for b in outs] for a in ins]
+        core = _core([[c_cut[b][a] for a in ins] for b in outs], wc, p, cascade)
+        # M_c = yW'_c S_c mod y^(J+1), by columns
+        mid = [[(sum(map(mul, wrow, sc)) & mask) << w for wrow in wc] for sc in zip(*core)]
         vs = [u_out[b] for b in outs]
         # the support columns, and D[J_c, :] on them by columns
         cand = sorted(set().union(*(compress(count(), f[v]) for v in vs)))
@@ -587,7 +603,6 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
             us = [u_in[a] for a in ins]
             cand = sorted(set().union(*(compress(count(), map(itemgetter(u), f)) for u in us)))
             rows, r_rows = _live(cand, [[f[s][u] for u in us] for s in cand], w, k)
-        mid = list(zip(*[[mw[a][b] for b in outs] for a in ins]))
         rm = [[sum(map(mul, rrow, mc)) for mc in mid] for rrow in r_rows]
         for i, (s, prods) in enumerate(zip(rows, _support_products(rm, d_cols, tied))):
             add = dict(zip(cols[i:] if tied else cols, prods))

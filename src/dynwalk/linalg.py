@@ -21,8 +21,8 @@ det(I - uA).
 
 ``ScaledMatrix`` is the integer working form of the power machinery and
 of the dynamic layer's cascade: integer entries, or integer coefficient
-lists, over one common denominator, so that a product costs integer
-multiplications only and no gcd.
+lists, over one common denominator, so that the products of the power
+machinery cost integer multiplications only and no gcd.
 """
 
 from __future__ import annotations
@@ -248,10 +248,10 @@ class ScaledMatrix:
     the zero entry being the empty IntPoly (the form ``power_sum`` takes).
     Rationals enter through ``of_rats`` and ``of_polys``, which clear one
     denominator for the whole block, and leave through ``to_poly``; the
-    dynamic layer's cascade builds its core from packed ints and packs the
-    result's integer rows back, so it crosses no Rat at all.  Every
-    product in between is integer arithmetic, and a product's denominator
-    is the product of its factors' denominators.
+    dynamic layer's cascade builds each block's core from the digits of
+    its packed ints and packs the result's integer rows back, so it
+    crosses no Rat at all.  The class holds no matrix arithmetic: the power
+    machinery works on its rows and den directly.
     """
 
     __slots__ = ("rows", "den")
@@ -296,10 +296,6 @@ class ScaledMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
     def to_poly(self) -> PolyMatrix:
         """The PolyMatrix of a polynomial ScaledMatrix; zeros share one object."""
         zero, den = UniPoly.zero(), self.den
@@ -310,60 +306,9 @@ class ScaledMatrix:
             ]
         )
 
-    def mul(self, other: "ScaledMatrix", trunc: int) -> "ScaledMatrix":
-        """Polynomial matrix product with every entry cut mod x^(trunc+1)."""
-        if self.ncols != other.nrows:
-            raise ValueError("inner dimensions disagree")
-        top = trunc + 1
-        out = []
-        for arow in self.rows:
-            acc = [None] * other.ncols
-            for a, brow in zip(arow, other.rows):
-                if not a:
-                    continue
-                a = a[:top]
-                for t, b in enumerate(brow):
-                    if not b:
-                        continue
-                    c = acc[t]
-                    if c is None:
-                        c = acc[t] = [0] * top
-                    for i, ai in enumerate(a):
-                        if ai:
-                            for j, bj in enumerate(b[: top - i], i):
-                                c[j] += ai * bj
-            out.append([IntPoly(c) if c else _EMPTY for c in acc])
-        return ScaledMatrix(out, self.den * other.den)
-
-    def add(self, other: "ScaledMatrix") -> "ScaledMatrix":
-        """Polynomial matrix sum, over the lcm of the two denominators."""
-        den = math.lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        rows = []
-        for ra, rb in zip(self.rows, other.rows):
-            row = []
-            for a, b in zip(ra, rb):
-                out = [fa * v for v in a] + [0] * (len(b) - len(a))
-                for i, v in enumerate(b):
-                    out[i] += fb * v
-                row.append(IntPoly(out))
-            rows.append(row)
-        return ScaledMatrix(rows, den)
-
     def truncated(self, k: int) -> "ScaledMatrix":
         return ScaledMatrix(
             [[IntPoly(e[: k + 1]) for e in row] for row in self.rows], self.den
-        )
-
-    def reduced(self) -> "ScaledMatrix":
-        """The same matrix over the least common denominator of its entries."""
-        rows = self.rows
-        g = math.gcd(self.den, *(v for row in rows for e in row for v in e))
-        if g == 1:
-            return self
-        return ScaledMatrix(
-            [[IntPoly([v // g for v in e]) if e else e for e in row] for row in rows],
-            self.den // g,
         )
 
 

@@ -24,8 +24,9 @@ Everything here runs on integer matrices over one common denominator
   characteristic polynomial of A_g, the reversal of the table's
   det(I - uA_g), so only powers below the dimension are formed.
   ``power_large`` (one power M(x)^k) and ``power_sum`` (the truncated
-  resolvent sum, which the dynamic layer takes only for gadget cores
-  above its opt-in ``cascade_threshold``) are both this one loop;
+  resolvent sum, which the dynamic layer takes for each block of the
+  core of a gadget above its opt-in ``cascade_threshold``) are both
+  this one loop;
   ``power_sum`` first cuts M mod x^k, all that its truncation reads, so
   its grid is sized to the answer.
 
@@ -302,29 +303,30 @@ def power_large(mat: PolyMatrix, k: int) -> PolyMatrix:
     return _grid_power_sum(scaled, [(k, 1, 0)], degree).to_poly()
 
 
-def _identity(n: int) -> ScaledMatrix:
-    one, zero = IntPoly((1,)), IntPoly()
-    return ScaledMatrix([[one if s == t else zero for t in range(n)] for s in range(n)])
-
-
 def power_sum(mat, k: int):
     """I + (xM) + (xM)^2 + ... + (xM)^k with entries cut mod x^(k+1).
 
     M is a PolyMatrix, for which the answer is a PolyMatrix, or a
     polynomial ScaledMatrix, for which it is a ScaledMatrix over the
     least common denominator of its entries; both compute in integers.
-    This is the cascade, which the dynamic layer takes for gadget cores
-    larger than its opt-in ``cascade_threshold``.  Those carry walk sums
-    and need not meet ``power_large``'s magnitude preconditions.  Term i,
+    This is the cascade, which the dynamic layer takes, one block of
+    its Woodbury core at a time, for gadgets larger than its opt-in
+    ``cascade_threshold``.  A block-diagonal M has the block-diagonal
+    power sum of its blocks, so a caller that splits M first runs one
+    small grid per block.  The cores carry walk sums and need not meet
+    ``power_large``'s magnitude preconditions.  Term i,
     x^i M^i mod x^(k+1), reads only M mod x^(k+1-i), so M is first cut
-    mod x^k, which serves every i >= 1; a cut that leaves M zero gives
-    the identity.  The cut M is divided by the least power of two c = 2^e
-    with sum of |coefficients| <= c/(3n) in every entry, which bounds
-    every evaluation on [0, 1] by 1/(3n).  The terms i = 1..i_max that
-    survive the truncation are then one ``_grid_power_sum`` of the terms
-    (c x)^i z^i over M/c, since (c x)^i (M/c)(x)^i = x^i M(x)^i exactly;
-    with d the degree of M, its entries have degree at most
-    (min(d, k-1) + 1) i_max and are cut mod x^(k+1).
+    mod x^k, which serves every i >= 1 (an M that fits is taken as it
+    is); a cut that leaves M zero gives the identity.  The cut M is
+    divided by the least power of two c = 2^e with sum of
+    |coefficients| <= c/(3n) in every entry, which bounds every
+    evaluation on [0, 1] by 1/(3n).  The terms i = 1..i_max that
+    survive the truncation are then one ``_grid_power_sum`` of the
+    terms (c x)^i z^i over M/c, since (c x)^i (M/c)(x)^i = x^i M(x)^i
+    exactly; with d the degree of M, its entries have degree at most
+    (min(d, k-1) + 1) i_max.  One pass cuts them mod x^(k+1), adds the
+    identity and divides out the gcd of every coefficient and the
+    denominator.
     """
     if isinstance(mat, PolyMatrix):
         return power_sum(ScaledMatrix.of_polys(mat.rows, k - 1), k).to_poly()
@@ -333,25 +335,29 @@ def power_sum(mat, k: int):
         raise ValueError("power sum of a non-square matrix")
     if k < 0:
         raise ValueError("negative truncation")
-    total = _identity(n)
-    if n == 0 or k == 0:
-        return total
     # x^i M^i mod x^(k+1) reads only M mod x^(k+1-i), so for every
     # i >= 1 the grid needs M only mod x^k
-    mat = mat.truncated(k - 1)
+    if any(len(e) > k for row in mat.rows for e in row):
+        mat = mat.truncated(k - 1)
     entries = [e for row in mat.rows for e in row if e]
-    if not entries:
-        return total
-    bound = max(sum(map(abs, e)) for e in entries)
-    c = 1
-    while bound * 3 * n > c * mat.den:
-        c *= 2
-    # x^i M^i contributes nothing once the minimum entry degree pushes
-    # every coefficient past the truncation; every entry left by the cut
-    # has low <= k - 1, so i_max >= 1
-    low = min(next(j for j, v in enumerate(e) if v) for e in entries)
-    i_max = k // (1 + low)
-    degree = max(len(e) for e in entries) * i_max
-    terms = [(i, c**i, i) for i in range(1, i_max + 1)]
-    core = _grid_power_sum(ScaledMatrix(mat.rows, c * mat.den), terms, degree)
-    return total.add(core.truncated(k)).reduced()
+    rows, den = [[()] * n] * n, 1
+    if entries:
+        bound = max(sum(map(abs, e)) for e in entries)
+        c = 1
+        while bound * 3 * n > c * mat.den:
+            c *= 2
+        # x^i M^i contributes nothing once the minimum entry degree pushes
+        # every coefficient past the truncation; every entry left by the cut
+        # has low <= k - 1, so i_max >= 1
+        low = min(next(j for j, v in enumerate(e) if v) for e in entries)
+        i_max = k // (1 + low)
+        degree = max(len(e) for e in entries) * i_max
+        terms = [(i, c**i, i) for i in range(1, i_max + 1)]
+        core = _grid_power_sum(ScaledMatrix(mat.rows, c * mat.den), terms, degree)
+        rows, den = core.rows, core.den
+    # the terms i >= 1 cut mod x^(k+1), plus den at x^0 on the diagonal
+    total = [[list(e[: k + 1]) for e in row] for row in rows]
+    for s, row in enumerate(total):
+        row[s][:1] = [sum(row[s][:1]) + den]
+    g = math.gcd(den, *(v for row in total for e in row for v in e))
+    return ScaledMatrix([[IntPoly([v // g for v in e]) for e in row] for row in total], den // g)

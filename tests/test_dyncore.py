@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as hst
 from dynwalk import dyncore, matpow
 from dynwalk.numerics import BudgetExhausted, PrecisionBudget, Rat, rat
 from dynwalk.poly import UniPoly
-from dynwalk.linalg import PolyMatrix, RatMatrix
+from dynwalk.linalg import PolyMatrix, RatMatrix, ScaledMatrix
 from dynwalk.graph import (
     BatchRejected,
     DynGraph,
@@ -346,11 +346,13 @@ def test_churn_batch_folds_as_one_gadget(monkeypatch, threshold, route, k):
     """A delete plus an insert on four distinct vertices, the shape of every
     benchmark churn batch, is one gadget of size 8: it takes the cascade
     route at threshold 4 and the direct route at threshold 12 and at the
-    default, which sends no gadget to the cascade.  The core
-    power sum runs to J - 1 for J = ceil(K/2), since the correction
-    carries a factor z; at K = 2 the core is the identity.  The direct
-    route sums packed ints in dyncore, the cascade route goes through
-    matpow.power_sum."""
+    default, which sends no gadget to the cascade.  The route is chosen
+    once per gadget, and the core is split into its blocks before its
+    power sum: the two changes do not interact, so each block runs one
+    core power sum on the gadget's route.  The core power sum runs to
+    J - 1 for J = ceil(K/2), since the correction carries a factor z; at
+    K = 2 the core is the identity.  The direct route sums packed ints in
+    dyncore, the cascade route goes through matpow.power_sum."""
     sizes, methods, degrees = [], [], []
     real_apply, real_power_sum = apply_gadget, matpow.power_sum
     real_packed = dyncore._packed_power_sum
@@ -375,8 +377,8 @@ def test_churn_batch_folds_as_one_gadget(monkeypatch, threshold, route, k):
     st = state_from_graph(DynGraph(6, 2, {(0, 1), (2, 4)}), k, cascade_threshold=threshold)
     st2 = apply_batch(st, batch(("delete", 0, 1), ("insert", 2, 3)))
     assert sizes == [8]
-    assert methods == [route]
-    assert degrees == [(k + 1) // 2 - 1]
+    assert methods == [route, route]
+    assert degrees == [(k + 1) // 2 - 1] * 2
     assert st2.version == st.version + 1
     assert st2.G == exact_power_sum(st2.B, k)
 
@@ -848,6 +850,63 @@ def test_graph_fold_forms_each_support_pair_once(monkeypatch):
     folded = apply_entry_deltas(mat, [(r, n + c, rat(dl, 4)) for r, c, dl in ndeltas])
     assert counts == [(4, 16), (4, 16)]
     assert folded.P == new.P
+
+
+@pytest.mark.parametrize(
+    "edges,k,dims",
+    [
+        pytest.param(((0, 1), (6, 7)), 4, [2, 2], id="far-K4"),
+        pytest.param(((0, 1), (6, 7)), 8, [2, 2], id="far-K8"),
+        pytest.param(((0, 1), (3, 4)), 4, [2, 2], id="near-K4"),
+        pytest.param(((0, 1), (3, 4)), 8, [4], id="near-K8"),
+        pytest.param(((0, 1), (4, 5)), 8, [2, 2], id="apart-K8"),
+    ],
+)
+def test_the_cascade_runs_one_power_sum_per_block(monkeypatch, edges, k, dims):
+    """The core is split by the pattern of W' and C^T before its power sum,
+    so the cascade runs one power sum per block.  Deleting two edges of the
+    12-cycle at K = 4 (J = 2) couples nothing, since C mod y is the
+    identity.  At K = 8 (J = 4) C is cut mod y^3 and couples vertices at
+    most two steps apart: vertices 1 and 3 of edges 0-1 and 3-4 join one
+    block of 4, while edges 0-1 and 4-5, three steps apart, stay two.  A
+    state built from the same T as a matrix, whose rows and columns are
+    apart, splits the same way."""
+    dims_seen = []
+    real = matpow.power_sum
+
+    def recording(mat, deg):
+        dims_seen.append(mat.nrows)
+        return real(mat, deg)
+
+    monkeypatch.setattr(matpow, "power_sum", recording)
+    n = 12
+    g = cycle_graph(n)
+    b = batch(*(("delete", u, v) for u, v in edges))
+    new = apply_batch(state_from_graph(g, k, cascade_threshold=0), b)
+    assert dims_seen == dims
+    assert new.P == state_from_graph(new.graph, k).P
+    dims_seen.clear()
+    _, ndeltas = validate_and_apply(g, b)
+    mat = state_from_matrix(lazy_transition(g), k, cascade_threshold=0)
+    folded = apply_entry_deltas(mat, [(r, n + c, rat(dl, 4)) for r, c, dl in ndeltas])
+    assert dims_seen == dims
+    assert folded.P == new.P
+
+
+def test_a_core_denominator_that_does_not_divide_the_lift_is_refused(monkeypatch):
+    """The cascade packs m^(J-1) times a block's power sum back, which is
+    exact only if the power sum's denominator divides m^(J-1); any other
+    denominator raises instead of truncating."""
+    real = matpow.power_sum
+
+    def bad_den(mat, deg):
+        s = real(mat, deg)
+        return ScaledMatrix(s.rows, 3 * s.den)
+
+    monkeypatch.setattr(matpow, "power_sum", bad_den)
+    st = state_from_graph(cycle_graph(6), 4, cascade_threshold=0)
+    with pytest.raises(AssertionError, match="denominator"):
+        apply_batch(st, batch(("delete", 0, 1)))
 
 
 @pytest.mark.parametrize("mode,bits", [("exact", None), ("bits", 16)])

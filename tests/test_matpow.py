@@ -1,13 +1,14 @@
 """Two-stage matrix powering: series extraction and remainder powering."""
 
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
 from dynwalk import linalg, matpow
 from dynwalk.numerics import Rat, rat
-from dynwalk.poly import UniPoly
+from dynwalk.poly import IntPoly, UniPoly
 from dynwalk.linalg import PolyMatrix, RatMatrix, ScaledMatrix, det_poly
 from dynwalk.matpow import (
     naive_power,
@@ -435,10 +436,45 @@ def test_scaled_products_match_poly_products(r, inner, c, k, data):
 
     a, b = block(r, inner), block(inner, c)
     sa, sb = ScaledMatrix.of_polys(a.rows, k + 1), ScaledMatrix.of_polys(b.rows, k + 1)
-    assert sa.mul(sb, k).to_poly() == a.mul(b, trunc=k)
-    assert sa.mul(sb, k).reduced().to_poly() == a.mul(b, trunc=k)
-    # a product cut mod x^(k+1) reads its factors only mod x^(k+1)
+    assert sa.to_poly().mul(sb.to_poly(), trunc=k) == a.mul(b, trunc=k)
+    # of_polys cuts mod x^(trunc+1), as truncated does over the same
+    # denominator, and a product cut mod x^(k+1) reads its factors only
+    # mod x^(k+1)
     ca, cb = ScaledMatrix.of_polys(a.rows, k), ScaledMatrix.of_polys(b.rows, k)
-    assert ca.mul(cb, k).to_poly() == a.mul(b, trunc=k)
-    b2 = block(r, inner)
-    assert sa.add(ScaledMatrix.of_polys(b2.rows, k + 1)).to_poly() == a.add(b2)
+    assert sa.truncated(k).to_poly() == ca.to_poly()
+    assert ca.to_poly().mul(cb.to_poly(), trunc=k) == a.mul(b, trunc=k)
+
+
+@settings(deadline=None, max_examples=30)
+@given(hst.lists(hst.integers(1, 3), min_size=1, max_size=3), hst.integers(0, 4), hst.data())
+def test_power_sum_of_a_block_diagonal_matrix_is_the_blocks_power_sums(sizes, k, data):
+    """A block-diagonal ScaledMatrix, its rows and columns shuffled by one
+    permutation, has the power sum of each block in that block's place
+    and zeros off the blocks: the split the dynamic layer makes before
+    its cascade is exact."""
+    den = data.draw(hst.sampled_from([1, 6, 2**64]))
+    coeff = hst.integers(-(2**20), 2**20)
+    blocks = [
+        ScaledMatrix(
+            [[IntPoly(data.draw(hst.lists(coeff, max_size=3))) for _ in range(b)] for _ in range(b)],
+            den,
+        )
+        for b in sizes
+    ]
+    n = sum(sizes)
+    at = data.draw(hst.permutations(range(n)))
+    # at[i] is the place of block index i, counted over the blocks in order
+    spans = list(accumulate(sizes, initial=0))
+    whole = [[IntPoly()] * n for _ in range(n)]
+    for lo, blk in zip(spans, blocks):
+        for s, row in enumerate(blk.rows):
+            for t, e in enumerate(row):
+                whole[at[lo + s]][at[lo + t]] = e
+    got = power_sum(ScaledMatrix(whole, den), k).to_poly()
+    want = [[UniPoly.zero()] * n for _ in range(n)]
+    for lo, blk in zip(spans, blocks):
+        part = power_sum(blk, k).to_poly()
+        for s, row in enumerate(part.rows):
+            for t, e in enumerate(row):
+                want[at[lo + s]][at[lo + t]] = e
+    assert got == PolyMatrix(want)
