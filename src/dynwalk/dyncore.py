@@ -104,7 +104,7 @@ from .packed import (
     coefficient,
     cut,
     digits,
-    on_grid,
+    grid_rounding,
     pack,
     refit,
     truncate_rows,
@@ -187,7 +187,9 @@ class DynState:
     2n x 2n embedding B = [[0, T], [I, 0]] and G, the 2n x 2n sum of
     (xB)^i for i <= K, are not stored; their properties build them on
     every access, for comparisons against the oracles.  Rat appears in
-    those views only.
+    those views only.  A state is in bits mode exactly when it carries
+    a budget, and its bit width b is the budget's allowance; mode and
+    bits are both read off budget.
 
     Treated as immutable: every update operation returns a fresh state and
     never touches its input, so older snapshots stay valid (the muddled
@@ -198,8 +200,6 @@ class DynState:
 
     n: int
     K: int
-    mode: str
-    bits: int | None
     graph: DynGraph | None
     N: list
     P: PackedF
@@ -210,7 +210,17 @@ class DynState:
 
     @property
     def is_bits(self) -> bool:
-        return self.mode == "bits"
+        return self.budget is not None
+
+    @property
+    def mode(self) -> str:
+        """The mode name, "bits" for a state with a precision budget, else "exact"."""
+        return "bits" if self.budget is not None else "exact"
+
+    @property
+    def bits(self) -> int | None:
+        """The coefficient width b of a bits state, its budget's allowance; None when exact."""
+        return None if self.budget is None else self.budget.initial_bits
 
     @property
     def T(self) -> RatMatrix:
@@ -317,8 +327,6 @@ def _build(a: RatMatrix, k, mode, bits, cascade_threshold, den: int) -> DynState
     return DynState(
         n=n,
         K=k,
-        mode=mode,
-        bits=bits,
         graph=None,
         N=int_rows,
         P=PackedF(rows, w, den, 1, norms, slots),
@@ -561,7 +569,11 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     low slots of V m^J times the change of the digits, and each changed
     digit is rounded back to the grid once, on the sum over blocks:
     H'_j = round((H_j m^J + V_j) / (m^J delta^j)) delta^j, to nearest
-    with ties toward zero.  No Rat is built on either scale.
+    with ties toward zero.  The rounding takes the entry P[s][t] m^J + V,
+    whose digits H_j m^J + V_j fit the slot width, as packed on scale
+    m^(J+1) and goes through that packing's rounding memo
+    (``grid_rounding``), so each distinct sum is rounded once.  No Rat
+    is built on either scale.
 
     The version token must match: gadgets encode which F their entries
     are meant to be read from, and applying against anything else would
@@ -615,12 +627,17 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     flat = [v for row in v_rows.values() for v in row.values()]
     lows = iter(cut([flat], w, slots)[0] if flat else ())
     m = p.scale
+    if m != 1:
+        # f[s][t] m^J + v has digits m^J times the new digit on scale m,
+        # which width_for sizes a slot for: rounded from scale m^(J+1)
+        top = m**k
+        grid = grid_rounding(w, slots, m * top, m.bit_length() - 1, p.den, w)
     touched = {}
     for s, row_v in v_rows.items():
         for t, v in zip(row_v, islice(lows, len(row_v))):
             if not v:
                 continue
-            e = f[s][t] + v if m == 1 else _regridded(f[s][t], v, p)
+            e = f[s][t] + v if m == 1 else grid[f[s][t] * top + v]
             row = touched.get(s) or touched.setdefault(s, list(f[s]))
             row[t] = e
             if tied and t != s:
@@ -633,8 +650,6 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     return DynState(
         state.n,
         state.K,
-        state.mode,
-        state.bits,
         state.graph,
         new_n,
         p.with_rows(touched),
@@ -643,14 +658,6 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
         state.step_count,
         state.cascade_threshold,
     )
-
-
-def _regridded(e: int, v: int, p: PackedF) -> int:
-    """Entry e plus the low slots v of a bits fold (m^J times the change), back on the grid."""
-    m, k = p.scale, p.slots - 1
-    top = m**k
-    nums = [h * top + c for h, c in zip(digits(e, p.width, p.slots), digits(v, p.width, p.slots))]
-    return on_grid(nums, m * top, m.bit_length() - 1, p.den, p.width)
 
 
 def _folded(state: DynState, gadget: DeltaGadget) -> DynState:
@@ -728,11 +735,11 @@ def apply_batch(state: DynState, batch: EdgeBatch) -> DynState:
 
 
 def read_power_entry(state: DynState, s: int, t: int, j: int) -> Rat:
-    """The (s, t) entry of T^j: digit j of P[s][t] over scale * den^j."""
+    """The (s, t) entry of T^j, j <= ceil(K/2): digit j of P[s][t] over scale * den^j."""
     n = state.n
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError("vertex out of range")
-    if j < 0 or 2 * j > state.K:
+    if j < 0 or j >= state.P.slots:
         raise ValueError(f"power {j} out of range for truncation {state.K}")
     p = state.P
     # the memo's hit path inline: a read round is mostly hits

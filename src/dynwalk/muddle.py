@@ -116,15 +116,7 @@ class MuddleTimeline:
             raise ValueError("graph shape disagrees with the configuration")
         self.clock = 0
         self.shadow = state_from_graph(graph, config.K)
-        self.served = replace(
-            self.shadow,
-            mode="bits",
-            bits=config.bits,
-            budget=PrecisionBudget(config.bits),
-        )
-        # (shadow P, its truncation) at the latest delivery, so the next
-        # delivery rounds only the entries the shadow has changed since
-        self._delivered = None
+        self.served = replace(self.shadow, budget=PrecisionBudget(config.bits))
         self.jobs: list = [MuddleJob(0)]
         self.trace: list = []
         self.rows: list = []
@@ -135,8 +127,7 @@ class MuddleTimeline:
         b = self.config.bits
         budget = PrecisionBudget(b)
         budget.spend(1)
-        p = truncate_rows(shadow.P, b, *(self._delivered or ()))
-        return replace(shadow, mode="bits", bits=b, P=p, budget=budget)
+        return replace(shadow, P=truncate_rows(shadow.P, b), budget=budget)
 
     # -- the public surface ---------------------------------------------
 
@@ -176,7 +167,6 @@ class MuddleTimeline:
             self.served = apply_batch(self.served, batch)
         else:
             self.served = self._deliver(shadow)
-            self._delivered = (shadow.P, self.served.P)
         self.shadow = shadow
         self.clock = clock
         for job, backlog in zip(self.jobs, backlogs):

@@ -16,15 +16,17 @@ of a result can be read back whenever its true digits there fit in
 w - 1 bits.  This module owns the format: the slot width, the digit
 codec, rounding to the grid, repacking, and the way back to Rat.
 
-Two memos are keyed by a packed int, since an entry's value alone
-fixes what is computed from it within one packing.  Reads of a
-coefficient are memoised on the state (``PackedF.reads``), and the
-rounding of an entry to the grid is memoised per pair of source and
-target packing (``truncate_rows``).  Each memo is cleared when it holds
-READS_MAX entries.  At most eight rounding memos are kept, the least
-recently used dropped first, so however many packings a process goes
-through they hold at most 8 * READS_MAX pairs of packed ints: at the
-muddled benchmark's shape (n = 16, K = 4, b = 64) a full memo takes
+Two kinds of memo are keyed by a packed int, since an entry's value
+alone fixes what is computed from it within one packing.  Reads of a
+coefficient are memoised per packing (``PackedF.reads``), and the
+rounding of an entry to the grid per pair of source and target packing
+(``grid_rounding``), which every bits-mode rounding goes through: a
+muddled delivery, a fresh bits state's first fold and every fold of a
+state on the grid.  Each memo is cleared when it holds READS_MAX
+entries, and at most eight of each kind are kept, the least recently
+used dropped first, so however many packings a process goes through
+they hold at most 8 * READS_MAX entries each: at the muddled
+benchmark's shape (n = 16, K = 4, b = 64) a full rounding memo takes
 about 160 KB, the eight about 1.3 MB.
 """
 
@@ -45,6 +47,7 @@ __all__ = [
     "digits",
     "pack",
     "on_grid",
+    "grid_rounding",
     "cut",
     "refit",
     "unpacked",
@@ -66,10 +69,10 @@ class PackedF:
 
     reads memoises ``coefficient`` by (entry, slot).  A read round reads
     the same few entries again and again, and decoding a slot and
-    building its Rat costs several times the lookup.  Snapshots of one
-    packing share the memo (a muddled delivery shares the previous
-    delivery's), a repacking starts a new one, and it is cleared when
-    full, so it stays small.
+    building its Rat costs several times the lookup.  The memo is the
+    one of the packing's (width, den, scale), which is everything a read
+    decodes with, so every snapshot packed alike shares it (successive
+    muddled deliveries do), and it is cleared when full.
     """
 
     rows: list
@@ -78,14 +81,17 @@ class PackedF:
     scale: int
     norms: list
     slots: int
-    reads: dict = field(default_factory=dict, compare=False, repr=False)
+    reads: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "reads", _reads(self.width, self.den, self.scale))
 
     def with_rows(self, touched: dict) -> "PackedF":
-        """This packing with the rows in touched replaced; it shares the read memo."""
+        """This packing with the rows in touched replaced."""
         rows = list(self.rows)
         for i, row in touched.items():
             rows[i] = row
-        return PackedF(rows, self.width, self.den, self.scale, self.norms, self.slots, self.reads)
+        return PackedF(rows, self.width, self.den, self.scale, self.norms, self.slots)
 
 
 def width_for(scale: int, norm: int, den: int, slots: int) -> int:
@@ -194,66 +200,64 @@ def unpacked(p: PackedF) -> PolyMatrix:
 READS_MAX = 1024
 
 
-# a muddled timeline rounds through one packing pair, a bits state's first fold through one more
 @lru_cache(maxsize=8)
-def _roundings(width: int, slots: int, scale: int, bits: int, den: int, target: int) -> dict:
-    """The rounding memo of one packing pair, packed entry to its rounded entry.
-
-    The key is everything ``digits`` and ``on_grid`` read of the two
-    packings, so a memoised rounding is exactly the int a fresh call
-    would return.
-    """
+def _reads(width: int, den: int, scale: int) -> dict:
+    """The read memo of one packing, (entry, slot) to its coefficient."""
     return {}
 
 
-def truncate_rows(
-    p: PackedF,
-    bits: int,
-    source: PackedF | None = None,
-    truncated: PackedF | None = None,
-) -> PackedF:
-    """p with every coefficient of F rounded to b bits, reusing work done before.
+class _Rounding(dict):
+    """A rounding memo: packed entries of one packing to those entries on another's grid.
+
+    Subscripting it with an entry not held rounds the entry with
+    ``on_grid`` and keeps the result, clearing the memo first when it
+    is full, so a hit is one C-level dict lookup and within one memo
+    each distinct entry is rounded once.
+    """
+
+    __slots__ = ("pair",)
+
+    def __missing__(self, e: int) -> int:
+        if len(self) >= READS_MAX:
+            self.clear()
+        width, slots, scale, bits, den, target = self.pair
+        r = self[e] = on_grid(digits(e, width, slots), scale, bits, den, target)
+        return r
+
+
+# a muddled timeline rounds through one packing pair, a bits state's
+# first fold through one more and its later folds through a third
+@lru_cache(maxsize=8)
+def grid_rounding(width: int, slots: int, scale: int, bits: int, den: int, target: int) -> dict:
+    """The rounding memo of one packing pair, which every bits-mode rounding goes through.
+
+    An entry of the source packing (width, slots, scale, den) has digit
+    j scale den^j times its coefficient j; its rounding is packed on
+    scale 2^bits at the target width.  The key is everything ``digits``
+    and ``on_grid`` read of the two packings, so a memoised rounding is
+    exactly the int a fresh call would return.
+    """
+    memo = _Rounding()
+    memo.pair = (width, slots, scale, bits, den, target)
+    return memo
+
+
+def truncate_rows(p: PackedF, bits: int) -> PackedF:
+    """p with every coefficient of F rounded to b bits.
 
     Digit j becomes r delta^j on scale 2^b, for r the integer nearest
     2^b F[s][t][j], ties toward zero, and the width grows to fit the
-    new scale.  truncated must be source with every coefficient rounded
-    to b bits.  When source is packed like p, a row of p that is the
-    very list object of the same row of source is taken from truncated
-    as it is, with no work.  Snapshots share exactly the rows an update
-    left alone, so after a local update only its replaced rows are
-    rounded.  Without a source every entry is rounded.
-
-    Each rounding is memoised by the entry's int value, in one memo per
-    packing pair: p's width, slots, scale and den, bits and the new
-    width.  A rounded entry is a function of its value and that pair
-    alone, so a hit is exact.  A graph's F at small K takes few
-    distinct values, its digits being small walk counts, and a muddled
-    delivery rounds the same ones again and again.  Each memo is
-    cleared when it reaches READS_MAX entries, as the read memo is.
+    new scale.  Every entry goes through the rounding memo of p's
+    packing and the new one, looked up once per call.  A graph's F at
+    small K takes few distinct values, its digits being small walk
+    counts, and a muddled delivery rounds the same ones again and
+    again, so a delivery is mostly lookups.
     """
     scale = 1 << bits
     width = width_for(scale, max(p.norms), p.den, p.slots)
-    memo = _roundings(p.width, p.slots, p.scale, bits, p.den, width)
-
-    def rounded(e):
-        if not e:
-            return 0
-        r = memo.get(e)
-        if r is None:
-            if len(memo) >= READS_MAX:
-                memo.clear()
-            r = memo[e] = on_grid(digits(e, p.width, p.slots), p.scale, bits, p.den, width)
-        return r
-
-    if source is None or (source.width, source.den, truncated.width) != (p.width, p.den, width):
-        rows = [list(map(rounded, row)) for row in p.rows]
-        return PackedF(rows, width, p.den, scale, p.norms, p.slots)
-    rows = [
-        done if row is old else list(map(rounded, row))
-        for row, old, done in zip(p.rows, source.rows, truncated.rows)
-    ]
-    # packed like truncated, so its read memo stays valid
-    return PackedF(rows, width, p.den, scale, p.norms, p.slots, truncated.reads)
+    memo = grid_rounding(p.width, p.slots, p.scale, bits, p.den, width)
+    rows = [list(map(memo.__getitem__, row)) for row in p.rows]
+    return PackedF(rows, width, p.den, scale, p.norms, p.slots)
 
 
 def coefficient(p: PackedF, s: int, t: int, j: int) -> Rat:

@@ -447,6 +447,21 @@ def test_read_power_entry_validation():
         read_power_entry(st, 0, 0, -1)
 
 
+def test_read_power_entry_at_odd_k_reads_every_stored_power():
+    # at K = 5, F holds T^j up to j = ceil(K/2) = 3, and G holds T^3 at
+    # x^5 of its top-right block; the lazy walk on the path 0-1-2-3
+    st = state_from_graph(DynGraph(4, 2, frozenset({(0, 1), (1, 2), (2, 3)})), 5)
+    t = lazy_transition(st.graph)
+    for s in range(4):
+        for u in range(4):
+            dp = walk_count_dp(t, s, u, 3)
+            assert [read_power_entry(st, s, u, j) for j in range(4)] == [dp[j] for j in range(4)]
+            assert st.G.rows[s][4 + u][5] == dp[3]
+    assert read_power_entry(st, 0, 1, 3) == rat(21, 64)
+    with pytest.raises(ValueError, match="power 4 out of range for truncation 5"):
+        read_power_entry(st, 0, 1, 4)
+
+
 # -- deleted walks really vanish ----------------------------------------------------------
 
 
@@ -630,8 +645,7 @@ def test_apply_gadget_carries_every_other_field_over():
     cases = ((mat, [(0, n + 2, 1)]), (graph, [(0, 6 + 3, 1), (3, 6 + 0, 1)]))
     for old, deltas in cases:
         old = dataclasses.replace(
-            old, mode="bits", bits=32, budget=PrecisionBudget(32), step_count=7,
-            cascade_threshold=3, version=5,
+            old, budget=PrecisionBudget(32), step_count=7, cascade_threshold=3, version=5,
         )
         (gadget,) = build_delta_gadgets(old, deltas)
         new = apply_gadget(old, gadget)

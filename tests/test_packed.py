@@ -1,10 +1,10 @@
-"""The packed format's grid rounding: the rounding memo of truncate_rows."""
+"""The packed format's memos: grid rounding, shared by the fold and the delivery, and reads."""
 
 import random
 
 import pytest
 
-from dynwalk import dyncore, muddle, packed
+from dynwalk import packed
 from dynwalk.numerics import Rat
 from dynwalk.linalg import RatMatrix
 from dynwalk.dyncore import apply_batch, state_from_graph, state_from_matrix
@@ -16,7 +16,7 @@ from conftest import random_batch, random_graph, truncate_all
 
 def _memo(p, bits, out):
     """The rounding memo truncate_rows used to round p onto out."""
-    return packed._roundings(p.width, p.slots, p.scale, bits, p.den, out.width)
+    return packed.grid_rounding(p.width, p.slots, p.scale, bits, p.den, out.width)
 
 
 def _nonzero(p):
@@ -50,61 +50,67 @@ def test_alternating_packings_round_like_truncate_to_bits():
     assert len(_memo(m.P, 12, truncate_rows(m.P, 12))) < distinct
 
 
-def test_reuse_path_matches_the_full_path():
-    rng = random.Random(29)
-    graph = random_graph(rng, 10, 3)
-    old = state_from_graph(graph, 4)
-    done = truncate_rows(old.P, 64)
-    for _ in range(6):
-        new = apply_batch(old, random_batch(rng, old.graph, 2))
-        reused = truncate_rows(new.P, 64, old.P, done)
-        full = truncate_rows(new.P, 64)
-        assert reused.rows == full.rows
-        assert (reused.width, reused.scale) == (full.width, full.scale)
-        assert unpacked(reused) == truncate_all(new.F, 64)
-        old, done = new, reused
-
-
 @pytest.fixture
 def roundings(monkeypatch):
-    """The roundings truncate_rows computes, from fresh memos, and its inputs' entries."""
-    packed._roundings.cache_clear()
-    calls, inputs = [], set()
-    real_on_grid, real_truncate = packed.on_grid, packed.truncate_rows
+    """Every on_grid call, as its arguments, from fresh rounding memos."""
+    packed.grid_rounding.cache_clear()
+    calls, real = [], packed.on_grid
 
     def on_grid(nums, *args):
         calls.append((tuple(nums),) + args)
-        return real_on_grid(nums, *args)
-
-    def truncate(p, *args):
-        inputs.update(_nonzero(p))
-        return real_truncate(p, *args)
+        return real(nums, *args)
 
     monkeypatch.setattr(packed, "on_grid", on_grid)
-    # the muddled delivery and a fresh bits state's first fold
-    monkeypatch.setattr(muddle, "truncate_rows", truncate)
-    monkeypatch.setattr(dyncore, "truncate_rows", truncate)
-    yield calls, inputs
-    packed._roundings.cache_clear()
+    yield calls
+    packed.grid_rounding.cache_clear()
 
 
 def test_a_muddled_run_rounds_each_distinct_entry_once(roundings):
-    calls, inputs = roundings
+    calls = roundings
     # the benchmark's muddled shape: n = 16, d = 3, K = 4, L = 4, b = 64
     rng = random.Random(31)
     cfg = MuddleConfig(16, 3, 4, 4, 64)
     tl = MuddleTimeline(cfg, random_graph(rng, 16, 3))
     deliveries = 0
-    for step in range(60):
+    for _ in range(60):
         tl.step(random_batch(rng, tl.shadow.graph, 2))
         deliveries += tl.trace[-1].delivered
-        if step >= cfg.L:
-            assert len(calls) <= len(inputs)
     assert deliveries > 40
-    # no input is rounded twice, so a delivery's rounding is mostly hits
+    # the deliveries round from scale 1, the served state's folds during
+    # warmup from scale 2^(64 (J+1)); each kind reaches on_grid, and no
+    # (packing pair, entry) reaches it twice, so a delivery is mostly hits
+    assert {c[1] for c in calls} == {1, 1 << (64 * 3)}
     assert len(set(calls)) == len(calls) < deliveries
     first = truncate_rows(tl.shadow.P, 64)
     before = len(calls)
     again = truncate_rows(tl.shadow.P, 64)
     assert len(calls) == before
     assert again.rows == first.rows
+
+
+def test_a_bits_churn_rounds_each_distinct_fold_sum_once(roundings):
+    # a direct bits run: the first fold rounds the whole state onto the
+    # grid, and every later fold rounds each changed entry's sum
+    # P[s][t] m^J + V once per distinct sum, however often it recurs
+    calls = roundings
+    rng = random.Random(37)
+    st = state_from_graph(random_graph(rng, 10, 3), 4, mode="bits", bits=64)
+    for _ in range(40):
+        st = apply_batch(st, random_batch(rng, st.graph, 2))
+    folds = [c for c in calls if c[1] != 1]
+    assert folds and len(set(folds)) == len(folds) < READS_MAX
+    assert unpacked(st.P) == truncate_all(unpacked(st.P), 64)
+
+
+def test_successive_deliveries_share_one_read_memo():
+    rng = random.Random(41)
+    tl = MuddleTimeline(MuddleConfig(12, 3, 4, 2, 64), random_graph(rng, 12, 3))
+    served = []
+    for _ in range(12):
+        tl.step(random_batch(rng, tl.shadow.graph, 2))
+        if tl.trace[-1].delivered:
+            served.append(tl.served)
+    assert len(served) >= 2
+    last, prev = served[-1], served[-2]
+    assert last.P is not prev.P
+    assert last.P.reads is prev.P.reads
