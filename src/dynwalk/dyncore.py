@@ -16,7 +16,9 @@ coefficient of G is a coefficient of F or a structural zero.
 F is stored packed, one Python int per entry whose slot j holds
 m delta^j F[s][t][j] for a common denominator delta of T and a scale m
 (``packed``), and every update runs on those ints; Rat remains only at
-the edges, listed below.
+the edges, listed below.  ``PackedF`` owns the layout: the fold reads F
+through its cut blocks and supports and writes it through ``plus``, and
+only ``read_power_entry``'s memo hit reads the packed rows here.
 
 A batch of changes to T (the top-right block of B) becomes one delta
 gadget over the affected rows u_in and columns u_out.  With T' = T + U W V
@@ -85,8 +87,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, compress, count, islice
-from operator import index, itemgetter, mul, or_
+from itertools import chain, compress, count
+from operator import index, mul, or_
 
 # truncate_to_bits is unused here but stays bound: the layer tracer in
 # bench/layers.py wraps dyncore.truncate_to_bits by name
@@ -102,9 +104,7 @@ from .linalg import PolyMatrix, RatMatrix, ScaledMatrix
 from .packed import (
     PackedF,
     coefficient,
-    cut,
     digits,
-    grid_rounding,
     pack,
     refit,
     truncate_rows,
@@ -128,7 +128,6 @@ __all__ = [
     "apply_entry_deltas",
     "apply_batch",
     "read_power_entry",
-    "truncate_rows",
 ]
 
 # Gadgets with more affected indices than a state's cascade_threshold
@@ -179,8 +178,8 @@ class DynState:
     """Snapshot of the maintained dynamic program.
 
     P is the stored state: the n x n matrix F = sum of (zT)^j for
-    j = 0..ceil(K/2), packed one int per entry (see PackedF), so the
-    digit j of P.rows[s][t] is the (s, t) entry of T^j times
+    j = 0..ceil(K/2), packed one int per entry (see PackedF), so
+    digit j of the packed entry (s, t) is the (s, t) entry of T^j times
     P.scale * P.den^j.  N holds the rows of the integer matrix
     P.den * T, the matrix the batches edit (2d T on a graph state).
     The transition matrix T = N / P.den, F as Rat polynomials, the
@@ -195,7 +194,7 @@ class DynState:
     never touches its input, so older snapshots stay valid (the muddled
     scheduler leans on this).  Successive snapshots share the row lists
     of P and N that an update did not touch, so no one may mutate
-    P.rows or N in place; build a new matrix instead.
+    P's rows or N in place; build a new matrix instead.
     """
 
     n: int
@@ -313,17 +312,16 @@ def _build(a: RatMatrix, k, mode, bits, cascade_threshold, den: int) -> DynState
     w = width_for(1, max(norms, default=0), den, slots)
     # T^j is the x^(2j-1) coefficient of the top-right block for j >= 1,
     # and T^0 = I
-    slot = [(den**j, w * j) for j in range(1, slots)]
-    rows = []
-    for s in range(n):
-        row = [
-            sum((c.numerator * (dj // c.denominator)) << shift
-                for c, (dj, shift) in zip(e.coeffs[1::2], slot) if c)
-            if e else 0
-            for e in g[s][n:]
+    dens = [den**j for j in range(1, slots)]
+    rows = [
+        [
+            pack([int(s == t)] + [c.numerator * (dj // c.denominator)
+                                  for c, dj in zip(e.coeffs[1::2], dens)], w)
+            if e else int(s == t)
+            for t, e in enumerate(g[s][n:])
         ]
-        row[s] += 1
-        rows.append(row)
+        for s in range(n)
+    ]
     return DynState(
         n=n,
         K=k,
@@ -506,13 +504,6 @@ def _blocks(m: list, tied: bool) -> list:
     )
 
 
-def _live(cand: list, block: list, width: int, slots: int) -> tuple:
-    """The candidates whose rows of block are not all zero once cut to slots, and those cut rows."""
-    rows = cut(block, width, slots)
-    live = list(map(any, rows))
-    return list(compress(cand, live)), list(compress(rows, live))
-
-
 def _support_products(left: list, right: list, upper: bool) -> list:
     """The dot product of each row of left with each row of right, by rows of left.
 
@@ -532,8 +523,9 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     digits is V = R * M * D mod y^(J+1), where M = yW'S, W' = delta W is
     the gadget's integer weight block, R = P[:, u_in], C = P[u_out,
     u_in], D = P[u_out, :] and S = sum of (yCW')^i for i < J.  R and D
-    are cut mod y^J and C mod y^(J-1) by bias and mask, and S is kept
-    mod 2^(wJ), since only the low slots of the result are read.
+    are cut mod y^J and C mod y^(J-1) (``PackedF.block``, ``live_cols``
+    and ``live_rows``), and S is kept mod 2^(wJ), since only the low
+    slots of the result are read.
 
     The core is split before its power sum, into blocks: the connected
     components of the pattern of W' and C^T, rows I_c of W' and columns
@@ -545,9 +537,9 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     R[:, I_c] * M_c * D[J_c, :], and a block's support (see the module
     docstring) is the ball around its own indices, so changes far apart
     are formed over their own balls and not over the product of both.
-    Each entry's corrections from all blocks are added up, and its low
-    J + 1 slots, decoded by bias and mask, are the true change of the
-    digits; the junk above them is dropped.
+    Each entry's corrections from all blocks are added up, and
+    ``PackedF.plus`` adds in its low J + 1 slots, the true change of the
+    digits, and drops the junk above them.
 
     A state takes one of two paths through each block.  A graph state's
     T is the lazy walk of an undirected graph, so T, P and W' are
@@ -566,14 +558,12 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     other row of P, and every row of T without a delta, is shared with
     the input state.  On a state with scale m = 2^b (a bits state on its
     grid) the core is S_m = sum of (yCW')^i m^(J-1-i), which makes the
-    low slots of V m^J times the change of the digits, and each changed
-    digit is rounded back to the grid once, on the sum over blocks:
-    H'_j = round((H_j m^J + V_j) / (m^J delta^j)) delta^j, to nearest
-    with ties toward zero.  The rounding takes the entry P[s][t] m^J + V,
-    whose digits H_j m^J + V_j fit the slot width, as packed on scale
-    m^(J+1) and goes through that packing's rounding memo
-    (``grid_rounding``), so each distinct sum is rounded once.  No Rat
-    is built on either scale.
+    low slots of V m^J times the change of the digits, and ``plus``
+    rounds each changed digit back to the grid once, on the sum over
+    blocks: H'_j = round((H_j m^J + V_j) / (m^J delta^j)) delta^j, to
+    nearest with ties toward zero, through the rounding memo of the
+    packing on scale m^(J+1) (``grid_rounding``), so each distinct sum is
+    rounded once.  No Rat is built on either scale.
 
     The version token must match: gadgets encode which F their entries
     are meant to be read from, and applying against anything else would
@@ -590,9 +580,8 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
     u_out = [v - state.n for v in gadget.u_out]
     tied = state.graph is not None
     p = state.P if tied else _fitted(state.P, gadget)
-    f, w, slots = p.rows, p.width, p.slots
-    k = slots - 1
-    c_cut = cut([[f[v][u] for u in u_in] for v in u_out], w, k - 1)
+    w, k = p.width, p.slots - 1
+    c_cut = p.block(u_out, u_in, k - 1)
     cascade = gadget.size > state.cascade_threshold
     mask = (1 << (w * k)) - 1
     # V by rows, summed over the blocks; a graph state's holds t >= s only
@@ -604,17 +593,13 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
         core = _core([[c_cut[b][a] for a in ins] for b in outs], wc, p, cascade)
         # M_c = yW'_c S_c mod y^(J+1), by columns
         mid = [[(sum(map(mul, wrow, sc)) & mask) << w for wrow in wc] for sc in zip(*core)]
-        vs = [u_out[b] for b in outs]
         # the support columns, and D[J_c, :] on them by columns
-        cand = sorted(set().union(*(compress(count(), f[v]) for v in vs)))
-        cols, d_cols = _live(cand, list(zip(*[[f[v][t] for t in cand] for v in vs])), w, k)
+        cols, d_cols = p.live_cols([u_out[b] for b in outs], k)
         if tied:
             # R[:, I_c] is D[J_c, :] transposed
             rows, r_rows = cols, d_cols
         else:
-            us = [u_in[a] for a in ins]
-            cand = sorted(set().union(*(compress(count(), map(itemgetter(u), f)) for u in us)))
-            rows, r_rows = _live(cand, [[f[s][u] for u in us] for s in cand], w, k)
+            rows, r_rows = p.live_rows([u_in[a] for a in ins], k)
         rm = [[sum(map(mul, rrow, mc)) for mc in mid] for rrow in r_rows]
         for i, (s, prods) in enumerate(zip(rows, _support_products(rm, d_cols, tied))):
             add = dict(zip(cols[i:] if tied else cols, prods))
@@ -624,25 +609,6 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
             else:
                 for t, v in add.items():
                     have[t] = have.get(t, 0) + v
-    flat = [v for row in v_rows.values() for v in row.values()]
-    lows = iter(cut([flat], w, slots)[0] if flat else ())
-    m = p.scale
-    if m != 1:
-        # f[s][t] m^J + v has digits m^J times the new digit on scale m,
-        # which width_for sizes a slot for: rounded from scale m^(J+1)
-        top = m**k
-        grid = grid_rounding(w, slots, m * top, m.bit_length() - 1, p.den, w)
-    touched = {}
-    for s, row_v in v_rows.items():
-        for t, v in zip(row_v, islice(lows, len(row_v))):
-            if not v:
-                continue
-            e = f[s][t] + v if m == 1 else grid[f[s][t] * top + v]
-            row = touched.get(s) or touched.setdefault(s, list(f[s]))
-            row[t] = e
-            if tied and t != s:
-                row = touched.get(t) or touched.setdefault(t, list(f[t]))
-                row[s] = e
     new_n = list(state.N)
     for r, row in gadget.new_rows.items():
         new_n[r] = row
@@ -652,7 +618,7 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
         state.K,
         state.graph,
         new_n,
-        p.with_rows(touched),
+        p.plus(v_rows, tied),
         state.budget,
         state.version + 1,
         state.step_count,
@@ -742,6 +708,9 @@ def read_power_entry(state: DynState, s: int, t: int, j: int) -> Rat:
     if j < 0 or j >= state.P.slots:
         raise ValueError(f"power {j} out of range for truncation {state.K}")
     p = state.P
-    # the memo's hit path inline: a read round is mostly hits
+    # the memo's hit path inline, the one read of P's rows outside packed:
+    # a read round is mostly hits, and a PackedF method call per read, or
+    # a dict subclass memo (subscripts are specialised on exact dicts
+    # only), measured 15-20% and 4-7% slower per hot read round
     r = p.reads.get((p.rows[s][t], j))
     return coefficient(p, s, t, j) if r is None else r

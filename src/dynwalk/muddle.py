@@ -30,9 +30,10 @@ from dataclasses import dataclass, replace
 # bench/layers.py wraps muddle.truncate_to_bits by name
 from .numerics import PrecisionBudget, truncate_to_bits  # noqa: F401
 from .graph import DynGraph, EdgeBatch
-from .dyncore import apply_batch, state_from_graph, truncate_rows
+from .dyncore import apply_batch, state_from_graph
+from .packed import truncate_rows
 
-__all__ = ["MuddleConfig", "MuddleJob", "TraceRow", "AccountingRow", "MuddleTimeline"]
+__all__ = ["MuddleConfig", "MuddleJob", "TraceRow", "MuddleTimeline"]
 
 
 @dataclass(frozen=True)
@@ -86,23 +87,18 @@ class MuddleJob:
 
 @dataclass(frozen=True)
 class TraceRow:
+    """One step's counters; line() is its trace line."""
+
     clock: int
     active_jobs: int
+    backlog_depths: tuple
     served_budget_age: int
+    budget_remaining: int
+    caught_up: int
     delivered: int
 
     def line(self) -> str:
         return f"{self.clock}\t{self.active_jobs}\t{self.served_budget_age}\t{self.delivered}"
-
-
-@dataclass(frozen=True)
-class AccountingRow:
-    clock: int
-    active_jobs: int
-    backlog_depths: tuple
-    budget_remaining: int
-    caught_up: int
-    delivered: int
 
 
 class MuddleTimeline:
@@ -119,7 +115,6 @@ class MuddleTimeline:
         self.served = replace(self.shadow, budget=PrecisionBudget(config.bits))
         self.jobs: list = [MuddleJob(0)]
         self.trace: list = []
-        self.rows: list = []
 
     # -- internals -----------------------------------------------------
 
@@ -174,24 +169,23 @@ class MuddleTimeline:
         if done is not None:
             del self.jobs[done]
         self.jobs.append(MuddleJob(clock))
-        delivered = int(done is not None)
-        age = self.served.budget.bits_spent
-        self.trace.append(TraceRow(clock, len(self.jobs), age, delivered))
-        self.rows.append(
-            AccountingRow(
+        budget = self.served.budget
+        self.trace.append(
+            TraceRow(
                 clock=clock,
                 active_jobs=len(self.jobs),
                 backlog_depths=tuple(j.backlog for j in self.jobs),
-                budget_remaining=self.served.budget.remaining,
+                served_budget_age=budget.bits_spent,
+                budget_remaining=budget.remaining,
                 caught_up=caught_up,
-                delivered=delivered,
+                delivered=int(done is not None),
             )
         )
         return self
 
     def accounting(self) -> list:
         """Per-step counters; the freshness tests read these."""
-        return list(self.rows)
+        return list(self.trace)
 
     def max_budget_age(self) -> int:
         return max((r.served_budget_age for r in self.trace), default=0)

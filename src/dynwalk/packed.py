@@ -14,7 +14,12 @@ ring homomorphism from integer polynomials to integers, so sums and
 products of packed ints are packed sums and products, and the low slots
 of a result can be read back whenever its true digits there fit in
 w - 1 bits.  This module owns the format: the slot width, the digit
-codec, rounding to the grid, repacking, and the way back to Rat.
+codec, rounding to the grid, repacking, the way back to Rat, and every
+read and write of the entries that a fold makes.  A fold reads cut
+blocks and the supports whose cut entries are nonzero
+(``PackedF.block``, ``live_cols``, ``live_rows``) and adds its
+corrections in through ``PackedF.plus``; outside this module only the
+memo hit of ``dyncore.read_power_entry`` reads a packing's rows.
 
 Two kinds of memo are keyed by a packed int, since an entry's value
 alone fixes what is computed from it within one packing.  Reads of a
@@ -34,8 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import repeat
-from operator import add, and_, mul, sub
+from itertools import compress, count, repeat
+from operator import add, and_, itemgetter, lshift, mul, sub
 
 from .numerics import R0, Rat, round_div
 from .poly import UniPoly
@@ -65,7 +70,7 @@ class PackedF:
     2^b of a bits state on its grid, and norms holds the absolute row
     sums of the integer matrix den * T, whose max bounds |H_j| by
     scale * max(norms)^j.  The zero entry is 0.  rows is never mutated;
-    updates share the rows they leave alone.
+    updates (``plus``) share the rows they leave alone.
 
     reads memoises ``coefficient`` by (entry, slot).  A read round reads
     the same few entries again and again, and decoding a slot and
@@ -86,12 +91,68 @@ class PackedF:
     def __post_init__(self):
         object.__setattr__(self, "reads", _reads(self.width, self.den, self.scale))
 
-    def with_rows(self, touched: dict) -> "PackedF":
-        """This packing with the rows in touched replaced."""
-        rows = list(self.rows)
-        for i, row in touched.items():
-            rows[i] = row
-        return PackedF(rows, self.width, self.den, self.scale, self.norms, self.slots)
+    def block(self, rows, cols, slots: int) -> list:
+        """The entries (s, t), s in rows and t in cols, cut to slots, as rows of tuples."""
+        f = self.rows
+        return cut([[f[s][t] for t in cols] for s in rows], self.width, slots)
+
+    def live_cols(self, rows, slots: int) -> tuple:
+        """The columns where rows have an entry not zero once cut to slots, and that block.
+
+        The cut block comes by columns.  The candidates are the columns
+        where rows have a nonzero entry, found by C-level truthiness
+        scans; the cut drops those whose nonzero digits all lie above
+        slots.
+        """
+        f = self.rows
+        cand = sorted(set().union(*(compress(count(), f[s]) for s in rows)))
+        return self._live(cand, list(zip(*[[f[s][t] for t in cand] for s in rows])), slots)
+
+    def live_rows(self, cols, slots: int) -> tuple:
+        """The rows where cols have an entry not zero once cut to slots, and that cut block by rows."""
+        f = self.rows
+        cand = sorted(set().union(*(compress(count(), map(itemgetter(t), f)) for t in cols)))
+        return self._live(cand, [[f[s][t] for t in cols] for s in cand], slots)
+
+    def _live(self, cand: list, block: list, slots: int) -> tuple:
+        rows = cut(block, self.width, slots)
+        live = list(map(any, rows))
+        return list(compress(cand, live)), list(compress(rows, live))
+
+    def plus(self, v_rows: dict, mirror: bool) -> "PackedF":
+        """This packing with the raw corrections v_rows[s][t] added in.
+
+        Only the low slots of a correction are its true change of the
+        digits; they are decoded by bias and mask and the junk above
+        them is dropped.  On scale m = 1 they are added to the entry.  On
+        a grid scale m = 2^b the low slots are m^J times the change, and
+        the entry P[s][t] m^J + V, whose digits fit the slot width (see
+        ``width_for``), is rounded back to the grid from scale m^(J+1)
+        through ``grid_rounding``, so each distinct sum is rounded once.
+        With mirror, each new entry (s, t) is written to (t, s) as well.
+        Only the rows with a changed entry are copied; every other row is
+        shared with this packing.
+        """
+        f, w, slots, m = self.rows, self.width, self.slots, self.scale
+        lows = _lows([v for row in v_rows.values() for v in row.values()], w, slots)
+        if m != 1:
+            top = m ** (slots - 1)
+            grid = grid_rounding(w, slots, m * top, m.bit_length() - 1, self.den, w)
+        rows = list(f)
+        for s, row_v in v_rows.items():
+            # row_v first, so zip stops without taking a low past the row
+            for t, v in zip(row_v, lows):
+                if not v:
+                    continue
+                e = f[s][t] + v if m == 1 else grid[f[s][t] * top + v]
+                if rows[s] is f[s]:
+                    rows[s] = list(f[s])
+                rows[s][t] = e
+                if mirror and t != s:
+                    if rows[t] is f[t]:
+                        rows[t] = list(f[t])
+                    rows[t][s] = e
+        return PackedF(rows, w, self.den, m, self.norms, slots)
 
 
 def width_for(scale: int, norm: int, den: int, slots: int) -> int:
@@ -122,7 +183,7 @@ def digits(e: int, width: int, slots: int) -> list:
 
 
 def pack(digits, width: int) -> int:
-    return sum(h << (width * j) for j, h in enumerate(digits))
+    return sum(map(lshift, digits, count(0, width)))
 
 
 def on_grid(nums, over: int, bits: int, den: int, width: int) -> int:
@@ -140,17 +201,20 @@ def on_grid(nums, over: int, bits: int, den: int, width: int) -> int:
     return pack(out, width)
 
 
+def _lows(entries, width: int, slots: int):
+    """Each packed entry cut to its low slots, by bias and mask, as an iterator."""
+    bias, mask = _bias(width, slots), (1 << (width * slots)) - 1
+    return map(sub, map(and_, map(add, entries, repeat(bias)), repeat(mask)), repeat(bias))
+
+
 def cut(block, width: int, slots: int) -> list:
-    """Each packed entry of a block cut to its low slots, by bias and mask, as rows of tuples.
+    """Each packed entry of a block cut to its low slots, as rows of tuples.
 
     The cut keeps signed digits, so an entry cuts to 0 exactly when its
     low slots are all zero.
     """
     size = len(block[0]) if block else 0
-    bias, mask = _bias(width, slots), (1 << (width * slots)) - 1
-    flat = [e for row in block for e in row]
-    low = map(sub, map(and_, map(add, flat, repeat(bias)), repeat(mask)), repeat(bias))
-    return list(zip(*[low] * size))
+    return list(zip(*[_lows([e for row in block for e in row], width, slots)] * size))
 
 
 def refit(p: PackedF, den: int, norms: list) -> PackedF:

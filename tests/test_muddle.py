@@ -9,7 +9,7 @@ from dynwalk.numerics import BudgetExhausted, PrecisionBudget
 from dynwalk.linalg import PolyMatrix
 from dynwalk.graph import BatchRejected, DynGraph, EdgeBatch, EdgeOp, validate_and_apply
 from dynwalk.dyncore import apply_batch, state_from_graph
-from dynwalk.muddle import AccountingRow, MuddleConfig, MuddleTimeline, TraceRow
+from dynwalk.muddle import MuddleConfig, MuddleTimeline, TraceRow
 
 from conftest import random_batch, random_graph, truncate_all, woodbury_fold
 
@@ -52,7 +52,6 @@ class ReplayTimeline:
         self.served = Served(fresh.graph, fresh.F, PrecisionBudget(cfg.bits))
         self.jobs = []
         self.trace = []
-        self.rows = []
         self._spawn()
 
     def _spawn(self):
@@ -97,13 +96,12 @@ class ReplayTimeline:
                 delivered = 1
                 break
         self._spawn()
-        age = self.served.budget.bits_spent
-        self.trace.append(TraceRow(self.clock, len(self.jobs), age, delivered))
-        self.rows.append(
-            AccountingRow(
+        self.trace.append(
+            TraceRow(
                 clock=self.clock,
                 active_jobs=len(self.jobs),
                 backlog_depths=tuple(len(j["backlog"]) for j in self.jobs),
+                served_budget_age=self.served.budget.bits_spent,
                 budget_remaining=self.served.budget.remaining,
                 caught_up=caught_up,
                 delivered=delivered,
@@ -223,7 +221,7 @@ def test_rejected_batch_leaves_timeline_untouched():
     # after warmup, on a tick where the oldest job would deliver
     drive(tl, 5)
     assert all(r.delivered for r in tl.trace[cfg.L - 1:])
-    clock, trace, rows = tl.clock, list(tl.trace), list(tl.rows)
+    clock, trace = tl.clock, list(tl.trace)
     counters = [(j.spawn_time, j.backlog) for j in tl.jobs]
     served, shadow = tl.served, tl.shadow
     served_g = [list(r) for r in served.G.rows]
@@ -234,7 +232,6 @@ def test_rejected_batch_leaves_timeline_untouched():
         tl.step(EdgeBatch((EdgeOp("insert", 1, 3), EdgeOp("delete", 2, 3))))
     assert tl.clock == clock
     assert tl.trace == trace
-    assert tl.rows == rows
     assert [(j.spawn_time, j.backlog) for j in tl.jobs] == counters
     assert tl.served is served and tl.shadow is shadow
     assert [list(r) for r in served.G.rows] == served_g
@@ -301,7 +298,7 @@ def test_property_shadow_matches_per_job_replay(latency, n, d, k, rng):
         else:
             tl.step(batch)
         assert tl.trace_lines() == ref.trace_lines()
-        assert tl.accounting() == ref.rows
+        assert tl.accounting() == ref.trace
         assert tl.served.F == ref.served.F
         assert tl.served.graph == ref.served.graph
         assert tl.served.budget.bits_spent == ref.served.budget.bits_spent
