@@ -121,9 +121,9 @@ class _Runner:
         alpha = _rational(kv.get("alpha", "1/2"), "alpha")
         prec = kv.get("prec", "exact")
         if prec == "exact":
-            mode, bits = "exact", None
+            bits = None
         elif prec.startswith("bits:"):
-            mode, bits = "bits", _int(prec[5:], "bits width")
+            bits = _int(prec[5:], "bits width")
         else:
             raise _ParseError(f"prec must be exact or bits:<int>, got {prec!r}")
         run_mode = kv.get("mode", "direct")
@@ -138,13 +138,13 @@ class _Runner:
         try:
             tester = TesterConfig(alpha, d, ell)
             if run_mode == "muddled":
-                if mode != "bits":
+                if bits is None:
                     raise ValueError("muddled mode needs prec=bits:<int>")
                 timeline = MuddleTimeline(MuddleConfig(n, d, k, latency, bits))
                 state = None
             else:
                 timeline = None
-                state = initial_state(n, d, k, mode=mode, bits=bits)
+                state = initial_state(n, d, k, bits=bits)
         except ValueError as exc:
             self.out.append(f"error: {exc}")
             return

@@ -188,7 +188,9 @@ class DynState:
     every access, for comparisons against the oracles.  Rat appears in
     those views only.  A state is in bits mode exactly when it carries
     a budget, and its bit width b is the budget's allowance; mode and
-    bits are both read off budget.
+    bits are both read off budget.  A budget is a value: an update
+    installs the charged budget ``spend`` returns, so snapshots may share
+    one.
 
     Treated as immutable: every update operation returns a fresh state and
     never touches its input, so older snapshots stay valid (the muddled
@@ -285,25 +287,17 @@ def bipartite_embed(a: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
-def _validate_mode(mode: str, bits: int | None):
-    if mode == "exact":
-        if bits is not None:
-            raise ValueError("exact mode takes no bit width")
-        return None
-    if mode == "bits":
-        if bits is None or bits < 1:
-            raise ValueError("bits mode needs a positive bit width")
-        return PrecisionBudget(bits)
-    raise ValueError(f"unknown mode {mode!r}")
+def _build(a: RatMatrix, k, bits, cascade_threshold, den: int) -> DynState:
+    """The from-scratch state over a, with den a multiple of every denominator of a.
 
-
-def _build(a: RatMatrix, k, mode, bits, cascade_threshold, den: int) -> DynState:
-    """The from-scratch state over a, with den a multiple of every denominator of a."""
+    bits None builds an exact state; an int b builds a bits state with a
+    fresh b-bit budget, which rejects b < 1.
+    """
     if not a.is_square:
         raise ValueError("needs a square matrix")
     if k < 1:
         raise ValueError("truncation degree must be at least one")
-    budget = _validate_mode(mode, bits)
+    budget = None if bits is None else PrecisionBudget(bits)
     b = bipartite_embed(PolyMatrix.from_rational(a))
     g = exact_power_sum(b, k).rows
     n, slots = a.nrows, (k + 1) // 2 + 1
@@ -336,7 +330,6 @@ def _build(a: RatMatrix, k, mode, bits, cascade_threshold, den: int) -> DynState
 def state_from_matrix(
     a: RatMatrix,
     k: int,
-    mode: str = "exact",
     bits: int | None = None,
     cascade_threshold: float = DEFAULT_CASCADE_THRESHOLD,
 ) -> DynState:
@@ -344,26 +337,28 @@ def state_from_matrix(
 
     This is the raw engine entry point the tests use for weighted digraph
     instances; graph-driven states go through state_from_graph.  Its
-    packing denominator is the lcm of a's denominators.
+    packing denominator is the lcm of a's denominators.  bits is the one
+    precision input: None keeps F exact, and a width b >= 1 makes a bits
+    state with a fresh b-bit budget.
     """
     den = math.lcm(*(v.denominator for row in a.rows for v in row))
-    return _build(a, k, mode, bits, cascade_threshold, den)
+    return _build(a, k, bits, cascade_threshold, den)
 
 
 def state_from_graph(
     graph: DynGraph,
     k: int,
-    mode: str = "exact",
     bits: int | None = None,
     cascade_threshold: float = DEFAULT_CASCADE_THRESHOLD,
 ) -> DynState:
     """Dynamic state maintaining the lazy walk of an existing graph.
 
     Its packing denominator is 2d, which every lazy walk under the
-    degree bound shares, so no batch ever repacks it.
+    degree bound shares, so no batch ever repacks it.  bits None keeps
+    F exact; a width b >= 1 makes a bits state with a fresh b-bit budget.
     """
     st = _build(
-        lazy_transition(graph), k, mode, bits, cascade_threshold, 2 * graph.d
+        lazy_transition(graph), k, bits, cascade_threshold, 2 * graph.d
     )
     st.graph = graph.copy()
     return st
@@ -373,12 +368,14 @@ def initial_state(
     n: int,
     d: int,
     k: int,
-    mode: str = "exact",
     bits: int | None = None,
     cascade_threshold: float = DEFAULT_CASCADE_THRESHOLD,
 ) -> DynState:
-    """Dynamic state over the empty n-vertex graph with degree bound d."""
-    return state_from_graph(DynGraph.empty(n, d), k, mode, bits, cascade_threshold)
+    """Dynamic state over the empty n-vertex graph with degree bound d.
+
+    bits None keeps F exact; a width b >= 1 makes a bits state.
+    """
+    return state_from_graph(DynGraph.empty(n, d), k, bits, cascade_threshold)
 
 
 def build_delta_gadgets(state: DynState, entry_deltas) -> tuple:
@@ -629,18 +626,20 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
 def _folded(state: DynState, gadget: DeltaGadget) -> DynState:
     """Fold one gadget of integer deltas of N into the state, in either mode.
 
-    In bits mode the budget is charged one bit and F stays on the 2^-b
-    grid.  A state on the grid (it came from a truncating batch or a
-    muddled delivery) has its changed entries rounded by the fold
-    itself; a fresh bits state, whose F is still exact, has every
-    coefficient rounded after the fold.
+    In bits mode the budget is charged one bit before the fold, so an
+    exhausted budget raises BudgetExhausted with nothing folded, and F
+    stays on the 2^-b grid.  A state on the grid (it came from a
+    truncating batch or a muddled delivery) has its changed entries
+    rounded by the fold itself; a fresh bits state, whose F is still
+    exact, has every coefficient rounded after the fold.
     """
+    if not state.is_bits:
+        return apply_gadget(state, gadget)
+    budget = state.budget.spend(1)
     st = apply_gadget(state, gadget)
-    if state.is_bits:
-        st.budget = state.budget.copy()
-        st.budget.spend(1)
-        if st.P.scale == 1:
-            st.P = truncate_rows(st.P, state.bits)
+    st.budget = budget
+    if st.P.scale == 1:
+        st.P = truncate_rows(st.P, state.bits)
     return st
 
 

@@ -151,7 +151,7 @@ def expansion_query(state: DynState, cfg: TesterConfig) -> Verdict:
             f"{cfg.ell}; needs at least {4 * cfg.ell}"
         )
     if state.is_bits:
-        headroom = state.bits - state.budget.bits_spent - 2
+        headroom = state.budget.remaining - 2
         if headroom < 0 or (1 << headroom) < n**3:
             raise PrecisionRefusal(
                 f"certified error 2^-{headroom} exceeds 1/n^3 at n={n}"

@@ -47,10 +47,9 @@ class MuddleConfig:
     def __post_init__(self):
         if self.L < 0:
             raise ValueError("latency cannot be negative")
-        if self.bits < 1:
-            raise ValueError("bits mode needs a positive width")
         # warmup peak spend must clear the budget guard, else the served
-        # state would hit refusals before the first delivery rescues it
+        # state would hit refusals before the first delivery rescues it;
+        # the budget itself rejects a width below one
         peak = self.L + _half_up(self.L) + 1
         if peak >= self.bits - PrecisionBudget(self.bits).guard:
             raise ValueError(
@@ -120,9 +119,7 @@ class MuddleTimeline:
 
     def _deliver(self, shadow):
         b = self.config.bits
-        budget = PrecisionBudget(b)
-        budget.spend(1)
-        return replace(shadow, P=truncate_rows(shadow.P, b), budget=budget)
+        return replace(shadow, P=truncate_rows(shadow.P, b), budget=PrecisionBudget(b).spend(1))
 
     # -- the public surface ---------------------------------------------
 
@@ -183,12 +180,5 @@ class MuddleTimeline:
         )
         return self
 
-    def accounting(self) -> list:
-        """Per-step counters; the freshness tests read these."""
-        return list(self.trace)
-
     def max_budget_age(self) -> int:
         return max((r.served_budget_age for r in self.trace), default=0)
-
-    def trace_lines(self) -> list:
-        return [r.line() for r in self.trace]

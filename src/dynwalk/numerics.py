@@ -3,8 +3,9 @@
 Every quantity in this package is an exact rational unless it has been pushed
 through ``truncate_to_bits``.  A value is called a "b-bit rational" when, in
 lowest terms, |numerator| < denominator <= 2**b; in particular its magnitude
-is below one.  ``PrecisionBudget`` tracks how many of those bits a maintained
-structure has burned through repeated truncation.
+is below one.  ``PrecisionBudget`` is a value recording how many of those
+bits a maintained structure has burned through repeated truncation; charging
+it returns a new budget, so snapshots may share one safely.
 
 The rational type itself is gmpy2's ``mpq`` when available (much faster), and
 ``fractions.Fraction`` otherwise.  Both normalize identically: gcd-reduced,
@@ -106,15 +107,16 @@ class BudgetExhausted(Exception):
     """Raised when a bits-mode structure would spend precision it lacks."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrecisionBudget:
-    """Tracks truncation bits spent against an initial allowance.
+    """Truncation bits spent against an initial allowance, as a value.
 
     ``initial_bits`` is the coefficient width b of the structure being
     tracked.  ``bits_spent`` counts truncating updates applied since the
     structure was last recomputed exactly.  ``guard`` reserves headroom: charging is refused once fewer
     than ``guard`` bits would remain, which signals that the maintained
-    values have gone stale and a fresh recompute is needed.
+    values have gone stale and a fresh recompute is needed.  A budget is
+    never changed after it is built: ``spend`` returns the charged budget.
     """
 
     initial_bits: int
@@ -134,7 +136,8 @@ class PrecisionBudget:
     def can_spend(self, bits: int = 1) -> bool:
         return self.remaining - bits >= self.guard
 
-    def spend(self, bits: int = 1) -> None:
+    def spend(self, bits: int = 1) -> "PrecisionBudget":
+        """This budget with bits more spent; BudgetExhausted past the guard."""
         if bits < 0:
             raise ValueError("negative spend")
         if not self.can_spend(bits):
@@ -142,7 +145,4 @@ class PrecisionBudget:
                 f"precision budget exhausted: {self.bits_spent} of "
                 f"{self.initial_bits} bits spent, guard {self.guard}"
             )
-        self.bits_spent += bits
-
-    def copy(self) -> "PrecisionBudget":
-        return PrecisionBudget(self.initial_bits, self.bits_spent, self.guard)
+        return PrecisionBudget(self.initial_bits, self.bits_spent + bits, self.guard)

@@ -282,7 +282,7 @@ def test_criterion_07_error_decay_ledger():
     rng = random.Random(707)
     bits = 96
     exact = state_from_graph(DynGraph.empty(8, 3), 8)
-    dirty = state_from_graph(DynGraph.empty(8, 3), 8, mode="bits", bits=bits)
+    dirty = state_from_graph(DynGraph.empty(8, 3), 8, bits=bits)
     worst = Rat(0)
     for t in range(1, 33):
         b = nonempty_batch(rng, exact.graph, 2)

@@ -128,12 +128,10 @@ def test_state_mode_validation():
         state_from_matrix(RatMatrix.identity(2), 0)
     with pytest.raises(ValueError):
         state_from_matrix(RatMatrix([[0, 1]]), 2)
-    with pytest.raises(ValueError):
-        initial_state(2, 1, 4, mode="exact", bits=16)
-    with pytest.raises(ValueError):
-        initial_state(2, 1, 4, mode="bits")
-    with pytest.raises(ValueError):
-        initial_state(2, 1, 4, mode="fuzzy")
+    with pytest.raises(ValueError, match="positive"):
+        initial_state(2, 1, 4, bits=0)
+    assert initial_state(2, 1, 4).mode == "exact"
+    assert initial_state(2, 1, 4, bits=16).mode == "bits"
 
 
 # -- gadget construction -----------------------------------------------------------
@@ -511,7 +509,8 @@ def test_cascade_reduces_by_the_charpoly_on_the_dynamic_route(monkeypatch, mode,
 
     monkeypatch.setattr(matpow, "divide_monic", counting_divide)
     k = 6
-    st = initial_state(5, 2, k, mode=mode, bits=bits, cascade_threshold=0)
+    st = initial_state(5, 2, k, bits=bits, cascade_threshold=0)
+    assert st.mode == mode
     for op in (("insert", 0, 1), ("insert", 1, 2), ("delete", 0, 1), ("insert", 3, 4)):
         st = apply_batch(st, batch(op))
         want = exact_power_sum(
@@ -535,7 +534,7 @@ def test_bits_mode_tracks_exact_twin_within_decay_bound():
     bits = 64
     g = random_graph(rng, 6, 2, fill=0.5)
     exact = state_from_graph(g, 8)
-    dirty = state_from_graph(g, 8, mode="bits", bits=bits)
+    dirty = state_from_graph(g, 8, bits=bits)
     work = g
     for t in range(1, 11):
         b = random_batch(rng, work, 2)
@@ -551,7 +550,7 @@ def test_bits_mode_tracks_exact_twin_within_decay_bound():
 
 
 def test_bits_budget_eventually_refuses():
-    st = initial_state(3, 2, 4, mode="bits", bits=10)
+    st = initial_state(3, 2, 4, bits=10)
     st = apply_batch(st, batch(("insert", 0, 1)))
     st = apply_batch(st, batch(("insert", 1, 2)))
     assert st.budget.bits_spent == 2
@@ -561,6 +560,41 @@ def test_bits_budget_eventually_refuses():
     st2 = apply_batch(st, EdgeBatch(()))
     assert st2.step_count == 3
     assert st2.budget.bits_spent == 2
+
+
+def test_budgets_are_values_that_snapshots_share_safely():
+    st = apply_batch(initial_state(4, 2, 4, bits=32), batch(("insert", 0, 1)))
+    child = apply_batch(st, EdgeBatch(()))
+    assert child.budget is st.budget
+    charged = child.budget.spend(1)
+    assert charged.bits_spent == 2
+    assert st.budget.bits_spent == child.budget.bits_spent == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.budget.bits_spent = 0
+    assert apply_batch(child, batch(("insert", 1, 2))).budget.bits_spent == 2
+    assert st.budget.bits_spent == child.budget.bits_spent == 1
+    # a muddled delivery installs a new budget and leaves the served
+    # snapshot it replaces as it was
+    tl = MuddleTimeline(MuddleConfig(4, 2, 4, 1, 32))
+    tl.step(batch(("insert", 0, 1)))
+    old = tl.served
+    budget, spent = old.budget, old.budget.bits_spent
+    tl.step(batch(("insert", 1, 2)))
+    assert tl.trace[-1].delivered and tl.served is not old
+    assert old.budget is budget and budget.bits_spent == spent
+
+
+def test_an_exhausted_budget_refuses_before_the_fold(monkeypatch):
+    st = state_from_matrix(RatMatrix([[0, 1], [1, 0]]), 4, bits=10)
+    st = apply_entry_deltas(st, [(0, 2, rat(1, 2))])
+    st = apply_entry_deltas(st, [(1, 3, rat(1, 2))])
+
+    def no_fold(state, gadget):
+        raise AssertionError("folded on an exhausted budget")
+
+    monkeypatch.setattr(dyncore, "apply_gadget", no_fold)
+    with pytest.raises(BudgetExhausted, match="2 of 10 bits spent"):
+        apply_entry_deltas(st, [(0, 3, rat(1, 4))])
 
 
 # -- what the state stores --------------------------------------------------------------------
@@ -586,8 +620,8 @@ def test_state_stores_only_the_half_size_f(monkeypatch):
     monkeypatch.setattr(DynState, "B", property(_no_b_view))
     n, k = 6, 5
     cfg = TesterConfig(Rat(1, 2), 2, 1)
-    for mode, bits in (("exact", None), ("bits", 48)):
-        st = initial_state(n, 2, k, mode=mode, bits=bits)
+    for bits in (None, 48):
+        st = initial_state(n, 2, k, bits=bits)
         for ops in ((("insert", 0, 1), ("insert", 2, 3)), (("delete", 0, 1), ("insert", 1, 2))):
             st = apply_batch(st, batch(*ops))
             expansion_query(st, cfg)
@@ -935,7 +969,8 @@ def test_overlapping_blocks_add_both_corrections(monkeypatch, mode, bits):
     rounding each gain apart would give one unit less than rounding
     their sum."""
     n, k = 12, 4
-    st = state_from_graph(cycle_graph(n, 3), k, mode=mode, bits=bits)
+    st = state_from_graph(cycle_graph(n, 3), k, bits=bits)
+    assert st.mode == mode
     st = apply_batch(st, batch(("delete", 6, 7)))
     counts = _counting_support_products(monkeypatch)
     b = batch(("delete", 0, 1), ("delete", 2, 3))
@@ -981,11 +1016,11 @@ def test_zero_entries_share_one_object_as_the_graph_churns():
     )
     # the first batch of a fresh bits state rounds every entry of F, the
     # zero entries among them
-    for mode, bits in (("exact", None), ("bits", 32)):
-        st = state_from_graph(g, k, mode=mode, bits=bits)
+    for bits in (None, 32):
+        st = state_from_graph(g, k, bits=bits)
         for ops in ops_seq:
             st = apply_batch(st, batch(*ops))
-            if mode == "exact":
+            if bits is None:
                 assert st.G == fresh_oracle(st)
             _assert_zeros_shared(st)
     tl = MuddleTimeline(MuddleConfig(n, 2, k, 2, 32), g)
@@ -1123,7 +1158,7 @@ def test_property_graph_states_stay_symmetric_at_norm_2d(n, d, k, bits, rng):
     fold takes for granted."""
     g = random_graph(rng, n, d, fill=rng.random())
     exact = state_from_graph(g, k)
-    dirty = state_from_graph(g, k, mode="bits", bits=bits)
+    dirty = state_from_graph(g, k, bits=bits)
     tl = MuddleTimeline(MuddleConfig(n, d, k, 2, bits), g)
     for st in (exact, dirty, tl.served):
         _assert_symmetric_at_norm_2d(st)
@@ -1156,7 +1191,7 @@ def _bits_fold_reference(state, batch):
 def test_property_bits_mode_within_certified_bound(n, d, k, bits, rng):
     g = random_graph(rng, n, d, fill=rng.random())
     exact = state_from_graph(g, k)
-    dirty = state_from_graph(g, k, mode="bits", bits=bits)
+    dirty = state_from_graph(g, k, bits=bits)
     for _ in range(4):
         b = random_batch(rng, exact.graph, 3)
         exact = apply_batch(exact, b)
@@ -1191,7 +1226,7 @@ def test_property_bits_mode_on_weighted_digraphs(threshold, n, k, bits, rng):
         return rand_rat(rng, 3, 6)
 
     a = [[weight() if rng.random() < 0.5 else Rat(0) for _ in range(n)] for _ in range(n)]
-    st = state_from_matrix(RatMatrix(a), k, mode="bits", bits=bits, cascade_threshold=threshold)
+    st = state_from_matrix(RatMatrix(a), k, bits=bits, cascade_threshold=threshold)
     for _ in range(3):
         deltas = [(rng.randrange(n), rng.randrange(n), weight()) for _ in range(rng.randint(1, 4))]
         want = truncate_all(woodbury_fold(st.F, deltas, k), bits)

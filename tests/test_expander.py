@@ -138,13 +138,13 @@ def test_return_probabilities_shrink_with_walk_length():
 
 
 def test_precision_refusal_on_thin_budget():
-    st = initial_state(32, 2, 4, mode="bits", bits=16)
+    st = initial_state(32, 2, 4, bits=16)
     with pytest.raises(PrecisionRefusal, match=r"2\^-14 exceeds 1/n\^3 at n=32"):
         expansion_query(st, TesterConfig(rat(1, 2), 2, 1))
 
 
 def test_wide_budget_answers_then_decays_into_refusal():
-    st = initial_state(8, 1, 8, mode="bits", bits=24)
+    st = initial_state(8, 1, 8, bits=24)
     st = apply_batch(st, batch((0, 1), (2, 3)))
     cfg = TesterConfig(rat(1, 2), 1, 1)
     v = expansion_query(st, cfg)

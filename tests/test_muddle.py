@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from dynwalk.numerics import BudgetExhausted, PrecisionBudget
+from dynwalk.numerics import PrecisionBudget
 from dynwalk.linalg import PolyMatrix
 from dynwalk.graph import BatchRejected, DynGraph, EdgeBatch, EdgeOp, validate_and_apply
 from dynwalk.dyncore import apply_batch, state_from_graph
@@ -63,10 +63,7 @@ class ReplayTimeline:
         if len(batch) == 0:
             return st
         graph, tdeltas = validate_and_apply(st.graph, batch)
-        if not st.budget.can_spend(1):
-            raise BudgetExhausted("served budget exhausted")
-        budget = st.budget.copy()
-        budget.spend(1)
+        budget = st.budget.spend(1)
         f = truncate_all(woodbury_fold(st.F, tdeltas, self.cfg.K, 2 * graph.d), self.cfg.bits)
         return Served(graph, f, budget)
 
@@ -87,10 +84,10 @@ class ReplayTimeline:
         delivered = 0
         for job in self.jobs:
             if self.clock - job["spawn"] >= cfg.L and not job["backlog"]:
-                budget = PrecisionBudget(cfg.bits)
-                budget.spend(1)
                 self.served = Served(
-                    job["state"].graph, truncate_all(job["state"].F, cfg.bits), budget
+                    job["state"].graph,
+                    truncate_all(job["state"].F, cfg.bits),
+                    PrecisionBudget(cfg.bits).spend(1),
                 )
                 self.jobs.remove(job)
                 delivered = 1
@@ -107,9 +104,6 @@ class ReplayTimeline:
                 delivered=delivered,
             )
         )
-
-    def trace_lines(self):
-        return [r.line() for r in self.trace]
 
 
 def drive(timeline, steps):
@@ -201,9 +195,8 @@ def test_delivery_installs_truncated_exact_rebuild():
 def test_accounting_rows_track_backlogs():
     cfg = MuddleConfig(4, 2, 4, 4, 32)
     tl = drive(MuddleTimeline(cfg), 10)
-    rows = tl.accounting()
-    assert [r.clock for r in rows] == list(range(1, 11))
-    for r in rows:
+    assert [r.clock for r in tl.trace] == list(range(1, 11))
+    for r in tl.trace:
         assert r.budget_remaining == cfg.bits - (r.clock if r.clock < cfg.L else 1)
         assert all(depth <= cfg.L for depth in r.backlog_depths)
         if r.clock >= cfg.L:
@@ -245,7 +238,7 @@ def test_rejected_batch_leaves_timeline_untouched():
 def test_trace_line_format():
     cfg = MuddleConfig(4, 2, 4, 2, 32)
     tl = drive(MuddleTimeline(cfg), 2)
-    assert tl.trace_lines() == ["1\t2\t1\t0", "2\t2\t1\t1"]
+    assert [r.line() for r in tl.trace] == ["1\t2\t1\t0", "2\t2\t1\t1"]
 
 
 def test_idle_steps_age_jobs_without_spending():
@@ -297,8 +290,7 @@ def test_property_shadow_matches_per_job_replay(latency, n, d, k, rng):
                 tl.step(batch)
         else:
             tl.step(batch)
-        assert tl.trace_lines() == ref.trace_lines()
-        assert tl.accounting() == ref.trace
+        assert tl.trace == ref.trace
         assert tl.served.F == ref.served.F
         assert tl.served.graph == ref.served.graph
         assert tl.served.budget.bits_spent == ref.served.budget.bits_spent

@@ -1,5 +1,6 @@
 """Rational scalars, truncation, and the precision budget."""
 
+import dataclasses
 import math
 
 import pytest
@@ -127,25 +128,27 @@ def test_budget_mechanics():
     assert b.remaining == 10
     assert b.guard == 8
     assert b.can_spend(1)
-    b.spend(1)
+    b = b.spend(1)
     assert b.bits_spent == 1
     assert b.remaining == 9
     # one more spend reaches the guard exactly
     assert b.can_spend(1)
-    b.spend(1)
+    b = b.spend(1)
     assert not b.can_spend(1)
     with pytest.raises(BudgetExhausted):
         b.spend(1)
     assert b.bits_spent == 2
 
 
-def test_budget_refresh_and_copy():
-    b = PrecisionBudget(64)
-    b.spend(5)
-    dup = b.copy()
-    dup.spend(1)
+def test_budget_is_a_value():
+    b = PrecisionBudget(64).spend(5)
+    charged = b.spend(1)
+    assert b == PrecisionBudget(64, 5)
+    assert charged == PrecisionBudget(64, 6)
+    assert b.spend(0) == b
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.bits_spent = 0
     assert b.bits_spent == 5
-    assert dup.bits_spent == 6
 
 
 def test_budget_validation():
@@ -159,7 +162,6 @@ def test_budget_validation():
 
 
 def test_budget_message_names_the_numbers():
-    b = PrecisionBudget(10)
-    b.spend(2)
+    b = PrecisionBudget(10).spend(2)
     with pytest.raises(BudgetExhausted, match="2 of 10 bits spent, guard 8"):
         b.spend(1)

@@ -96,7 +96,7 @@ def test_a_bits_churn_rounds_each_distinct_fold_sum_once(roundings):
     # P[s][t] m^J + V once per distinct sum, however often it recurs
     calls = roundings
     rng = random.Random(37)
-    st = state_from_graph(random_graph(rng, 10, 3), 4, mode="bits", bits=64)
+    st = state_from_graph(random_graph(rng, 10, 3), 4, bits=64)
     for _ in range(40):
         st = apply_batch(st, random_batch(rng, st.graph, 2))
     folds = [c for c in calls if c[1] != 1]
