@@ -3,8 +3,9 @@
 
 For every n and K of the sweep this builds a seeded graph at degree
 bound d, then applies churn batches of one delete plus one insert
-(on four distinct vertices, so the edge count never moves).  After the
-warm-up batches it records the CPU time of each ``apply_batch`` and of
+(on four distinct vertices, so the edge count never moves); graph and
+batches come from the benchmark's ``bench/workloads.ChurnStream``.
+After the warm-up batches it records the CPU time of each ``apply_batch`` and of
 ``state_from_graph`` on the same graph, and prints the medians and
 their ratio (below one means the incremental path wins).  Outside the
 timers, every rebuilt state's stored packed F and stored integer
@@ -25,47 +26,11 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from dynwalk.dyncore import apply_batch, state_from_graph
-from dynwalk.graph import DynGraph, EdgeBatch, EdgeOp
-
-# Share of the n*d/2 edge slots the graph holds.
-DENSITY = 0.9
-
-
-def insert_pairs(edges: set, n: int, d: int) -> list:
-    """Non-adjacent pairs of vertices that both have spare degree."""
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    spare = [w for w in range(n) if deg[w] < d]
-    return [(x, y) for i, x in enumerate(spare) for y in spare[i + 1 :] if (x, y) not in edges]
-
-
-def seeded_graph(n: int, d: int, rng: random.Random) -> set:
-    """round(DENSITY * n*d/2) random edges, degrees at most d, one insertable pair left."""
-    target = round(DENSITY * n * d / 2)
-    while True:
-        edges = set()
-        while len(edges) < target and (pairs := insert_pairs(edges, n, d)):
-            edges.add(rng.choice(pairs))
-        if len(edges) == target and insert_pairs(edges, n, d):
-            return edges
-
-
-def churn_batch(edges: set, n: int, d: int, rng: random.Random) -> EdgeBatch:
-    """Insert a random insertable pair and delete an edge disjoint from it.
-
-    The deleted endpoints are an insertable pair afterwards, so the
-    stream never runs dry.  ``edges`` is updated in place.
-    """
-    x, y = rng.choice(insert_pairs(edges, n, d))
-    u, v = rng.choice(sorted(e for e in edges if x not in e and y not in e))
-    edges.remove((u, v))
-    edges.add((x, y))
-    return EdgeBatch((EdgeOp("delete", u, v), EdgeOp("insert", x, y)))
+from workloads import ChurnStream
 
 
 def cpu_ms(fn, *args):
@@ -79,12 +44,11 @@ def sweep_point(n: int, d: int, k: int, batches: int, warmup: int, seed: int):
 
     Exits with 1 if a folded state differs from its rebuild.
     """
-    rng = random.Random(seed)
-    edges = seeded_graph(n, d, rng)
-    state = state_from_graph(DynGraph(n, d, set(edges)), k)
+    stream = ChurnStream(n, d, random.Random(seed))
+    state = state_from_graph(stream.graph(), k)
     applies, rebuilds = [], []
     for i in range(warmup + batches):
-        state, ms = cpu_ms(apply_batch, state, churn_batch(edges, n, d, rng))
+        state, ms = cpu_ms(apply_batch, state, stream.next_batch())
         if i >= warmup:
             applies.append(ms)
             rebuilt, ms = cpu_ms(state_from_graph, state.graph, k)

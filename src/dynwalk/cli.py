@@ -27,6 +27,7 @@ import argparse
 import io
 import re
 import sys
+import traceback
 from dataclasses import dataclass
 
 from .numerics import BudgetExhausted, Rat, format_rat, parse_rat
@@ -459,7 +460,10 @@ def run_selftest(out=None) -> int:
             count = fn()
             out.write(f"suite {name}: pass ({count} checks)\n")
             total += count
-        except AssertionError:
+        except Exception:
+            # a suite that raises fails like one whose check fails, and
+            # the suites after it still run; stderr gets the reason
+            traceback.print_exc()
             failures += 1
             out.write(f"suite {name}: FAIL\n")
     if failures:

@@ -624,22 +624,28 @@ def apply_gadget(state: DynState, gadget: DeltaGadget) -> DynState:
 
 
 def _folded(state: DynState, gadget: DeltaGadget) -> DynState:
-    """Fold one gadget of integer deltas of N into the state, in either mode.
+    """Fold one gadget of integer deltas of N into the state and count the step.
 
-    In bits mode the budget is charged one bit before the fold, so an
-    exhausted budget raises BudgetExhausted with nothing folded, and F
-    stays on the 2^-b grid.  A state on the grid (it came from a
-    truncating batch or a muddled delivery) has its changed entries
+    In bits mode this is the one place a batch is charged: one bit before
+    the fold, so an exhausted budget raises BudgetExhausted with nothing
+    folded, and F stays on the 2^-b grid.  A state on the grid (it came
+    from a truncating batch or a muddled delivery) has its changed entries
     rounded by the fold itself; a fresh bits state, whose F is still
     exact, has every coefficient rounded after the fold.
     """
-    if not state.is_bits:
-        return apply_gadget(state, gadget)
-    budget = state.budget.spend(1)
+    if state.is_bits:
+        try:
+            budget = state.budget.spend(1)
+        except BudgetExhausted as exc:
+            raise BudgetExhausted(
+                f"precision budget exhausted after {state.step_count} steps"
+            ) from exc
     st = apply_gadget(state, gadget)
-    st.budget = budget
-    if st.P.scale == 1:
-        st.P = truncate_rows(st.P, state.bits)
+    st.step_count = state.step_count + 1
+    if state.is_bits:
+        st.budget = budget
+        if st.P.scale == 1:
+            st.P = truncate_rows(st.P, state.bits)
     return st
 
 
@@ -650,9 +656,10 @@ def apply_entry_deltas(state: DynState, entry_deltas) -> DynState:
     whose denominator does not divide P.den first moves the state to the
     lcm: N is rescaled and every entry of F repacked once, to the new
     denominator and the row norms of N after the batch.  The deltas then
-    fold as integer deltas of N, as a graph batch does; bits mode is
-    handled as there.  A graph state is refused: its T must stay the
-    lazy walk of its graph, so it changes only through apply_batch.
+    fold as integer deltas of N and count one step, as a graph batch
+    does; bits mode is handled as there.  A graph state is refused: its
+    T must stay the lazy walk of its graph, so it changes only through
+    apply_batch.
     """
     if state.graph is not None:
         raise ValueError("state has a graph; use apply_batch")
@@ -687,15 +694,10 @@ def apply_batch(state: DynState, batch: EdgeBatch) -> DynState:
     if len(batch) == 0:
         return replace(state, step_count=state.step_count + 1)
     new_graph, ndeltas = validate_and_apply(state.graph, batch)
-    if state.is_bits and not state.budget.can_spend(1):
-        raise BudgetExhausted(
-            f"precision budget exhausted after {state.step_count} steps"
-        )
     n = state.n
     (gadget,) = build_delta_gadgets(state, [(r, n + c, delta) for r, c, delta in ndeltas])
     st = _folded(state, gadget)
     st.graph = new_graph
-    st.step_count = state.step_count + 1
     return st
 
 

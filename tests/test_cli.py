@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dynwalk
-from dynwalk import dyncore
+from dynwalk import dyncore, matpow
 from dynwalk.cli import main, run_script, run_selftest
 
 
@@ -293,6 +293,19 @@ def test_selftest_green():
         "suite walk counting: pass (8 checks)",
         "selftest: 5 suites passed (79 checks)",
     ]
+
+
+def test_a_suite_that_raises_fails_and_the_rest_still_run(monkeypatch):
+    def refuse(m, k):
+        raise ValueError("power_large: not an admissible instance")
+
+    monkeypatch.setattr(matpow, "power_large", refuse)
+    buf = io.StringIO()
+    assert run_selftest(buf) == 2
+    lines = buf.getvalue().splitlines()
+    assert "suite power cascade: FAIL" in lines
+    assert "suite walk counting: pass (8 checks)" in lines
+    assert lines[-1] == "selftest: 1 of 5 suites failed"
 
 
 # Under -O a bare assert is compiled away; the selftest must still catch an

@@ -584,17 +584,30 @@ def test_budgets_are_values_that_snapshots_share_safely():
     assert old.budget is budget and budget.bits_spent == spent
 
 
-def test_an_exhausted_budget_refuses_before_the_fold(monkeypatch):
+def _matrix_batches():
     st = state_from_matrix(RatMatrix([[0, 1], [1, 0]]), 4, bits=10)
-    st = apply_entry_deltas(st, [(0, 2, rat(1, 2))])
-    st = apply_entry_deltas(st, [(1, 3, rat(1, 2))])
+    deltas = [[(0, 2, rat(1, 2))], [(1, 3, rat(1, 2))], [(0, 3, rat(1, 4))]]
+    return st, apply_entry_deltas, deltas
+
+
+def _graph_batches():
+    st = initial_state(3, 2, 4, bits=10)
+    return st, apply_batch, [batch(("insert", u, v)) for u, v in ((0, 1), (1, 2), (0, 2))]
+
+
+@pytest.mark.parametrize("make", [_matrix_batches, _graph_batches], ids=["matrix", "graph"])
+def test_an_exhausted_budget_refuses_before_the_fold(monkeypatch, make):
+    # both kinds of batch are charged in one place and refuse alike
+    st, apply, (first, second, third) = make()
+    st = apply(apply(st, first), second)
+    assert st.step_count == 2
 
     def no_fold(state, gadget):
         raise AssertionError("folded on an exhausted budget")
 
     monkeypatch.setattr(dyncore, "apply_gadget", no_fold)
-    with pytest.raises(BudgetExhausted, match="2 of 10 bits spent"):
-        apply_entry_deltas(st, [(0, 3, rat(1, 4))])
+    with pytest.raises(BudgetExhausted, match="^precision budget exhausted after 2 steps$"):
+        apply(st, third)
 
 
 # -- what the state stores --------------------------------------------------------------------

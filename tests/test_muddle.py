@@ -41,8 +41,10 @@ class ReplayTimeline:
     Woodbury fold of its F in Rat followed by truncation of every
     coefficient (of F, which is every coefficient of G but its structural
     zeros).  Nothing here shares work between jobs, so it checks that the
-    shadow scheduler's counters and single exact state reproduce the
-    model, and that the served packed state rounds as the definition does.
+    timeline's closed form and single exact state reproduce the model, and
+    that the served packed state rounds as the definition does.  Each step
+    also records the jobs' backlog depths and how many batches they caught
+    up on, which the timeline does not track.
     """
 
     def __init__(self, cfg, graph):
@@ -52,6 +54,8 @@ class ReplayTimeline:
         self.served = Served(fresh.graph, fresh.F, PrecisionBudget(cfg.bits))
         self.jobs = []
         self.trace = []
+        self.backlogs = []
+        self.caught_up = []
         self._spawn()
 
     def _spawn(self):
@@ -76,7 +80,7 @@ class ReplayTimeline:
                 job["backlog"].append(batch)
         caught_up = 0
         for job in self.jobs:
-            if self.clock - job["spawn"] > cfg.compute_ticks:
+            if self.clock - job["spawn"] > cfg.L // 2:
                 for _ in range(2):
                     if job["backlog"]:
                         job["state"] = apply_batch(job["state"], job["backlog"].pop(0))
@@ -97,13 +101,13 @@ class ReplayTimeline:
             TraceRow(
                 clock=self.clock,
                 active_jobs=len(self.jobs),
-                backlog_depths=tuple(len(j["backlog"]) for j in self.jobs),
                 served_budget_age=self.served.budget.bits_spent,
                 budget_remaining=self.served.budget.remaining,
-                caught_up=caught_up,
                 delivered=delivered,
             )
         )
+        self.backlogs.append(tuple(len(j["backlog"]) for j in self.jobs))
+        self.caught_up.append(caught_up)
 
 
 def drive(timeline, steps):
@@ -123,11 +127,6 @@ def test_config_validation():
         MuddleConfig(4, 2, 4, -1, 32)
     with pytest.raises(ValueError, match="positive"):
         MuddleConfig(4, 2, 4, 2, 0)
-
-
-def test_compute_ticks_floor():
-    for ell, want in ((0, 0), (1, 0), (2, 1), (3, 1), (8, 4)):
-        assert MuddleConfig(4, 2, 4, ell, 64).compute_ticks == want
 
 
 def test_graph_shape_must_match():
@@ -195,12 +194,14 @@ def test_delivery_installs_truncated_exact_rebuild():
 def test_accounting_rows_track_backlogs():
     cfg = MuddleConfig(4, 2, 4, 4, 32)
     tl = drive(MuddleTimeline(cfg), 10)
+    ref = drive(ReplayTimeline(cfg, DynGraph.empty(cfg.n, cfg.d)), 10)
+    assert tl.trace == ref.trace
     assert [r.clock for r in tl.trace] == list(range(1, 11))
-    for r in tl.trace:
+    for r, depths, caught_up in zip(tl.trace, ref.backlogs, ref.caught_up):
         assert r.budget_remaining == cfg.bits - (r.clock if r.clock < cfg.L else 1)
-        assert all(depth <= cfg.L for depth in r.backlog_depths)
+        assert all(depth <= cfg.L for depth in depths)
         if r.clock >= cfg.L:
-            assert r.caught_up >= 1
+            assert caught_up >= 1
 
 
 def test_rejected_batch_leaves_timeline_untouched():
@@ -210,12 +211,12 @@ def test_rejected_batch_leaves_timeline_untouched():
         tl.step(EdgeBatch((EdgeOp("delete", 0, 1),)))
     assert tl.clock == 0
     assert tl.trace == []
-    assert len(tl.jobs) == 1
+    assert tl.jobs == range(1)
     # after warmup, on a tick where the oldest job would deliver
     drive(tl, 5)
     assert all(r.delivered for r in tl.trace[cfg.L - 1:])
     clock, trace = tl.clock, list(tl.trace)
-    counters = [(j.spawn_time, j.backlog) for j in tl.jobs]
+    jobs = tl.jobs
     served, shadow = tl.served, tl.shadow
     served_g = [list(r) for r in served.G.rows]
     shadow_g = [list(r) for r in shadow.G.rows]
@@ -225,7 +226,7 @@ def test_rejected_batch_leaves_timeline_untouched():
         tl.step(EdgeBatch((EdgeOp("insert", 1, 3), EdgeOp("delete", 2, 3))))
     assert tl.clock == clock
     assert tl.trace == trace
-    assert [(j.spawn_time, j.backlog) for j in tl.jobs] == counters
+    assert tl.jobs == jobs
     assert tl.served is served and tl.shadow is shadow
     assert [list(r) for r in served.G.rows] == served_g
     assert [list(r) for r in shadow.G.rows] == shadow_g

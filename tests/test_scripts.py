@@ -29,6 +29,7 @@ CASES = [
         "expansion_demo.py --family cycle --n 6 --max-ell 1",
         r"\s*1\s+3/8\s+0\.375000 reject \(witness 0\)",
     ),
+    ("code_lines.py", r"total [1-9]\d*"),
 ]
 
 
